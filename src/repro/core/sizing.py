@@ -58,7 +58,9 @@ def upsize_effect(view: TimingView, index: int, new_size: float) -> float:
     fanin_effect = 0.0
     for f in view.fanin_gates[index]:
         _, slope_f = view.delay_coefficients(int(f))
-        fanin_effect += slope_f * delta_cap
+        # A driver feeding several pins of this gate sees each pin's delta.
+        pins = int(np.count_nonzero(view.consumer_pins[int(f)] == index))
+        fanin_effect += slope_f * delta_cap * pins
     return own + fanin_effect
 
 

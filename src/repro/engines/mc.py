@@ -96,7 +96,7 @@ class MCEngine(TimingEngine):
                 n_samples, seed, shard_size=adaptive_shard_size(n_samples)
             )
             task = _EndpointShardTask(varmodel=varmodel, kernel=kernel)
-            matrices = run_sharded(task, plan, n_jobs=n_jobs)
+            matrices = run_sharded(task, plan, n_jobs=n_jobs, workload="endpoints")
             endpoint_delays = np.concatenate(matrices, axis=1)
             circuit_delays = endpoint_delays.max(axis=0)
             endpoints = tuple(

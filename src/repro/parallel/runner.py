@@ -104,17 +104,22 @@ def run_sharded(
     task: Callable[[SampleShard], T],
     plan: SampleShardPlan,
     n_jobs: int = 1,
+    *,
+    workload: str = "unlabelled",
 ) -> List[T]:
     """Evaluate ``task`` on every shard; results in shard order.
 
     ``task`` must be picklable (a module-level function or a dataclass
     instance with ``__call__``) and deterministic given the shard — both
-    the parallel path and the fallback rely on that.
+    the parallel path and the fallback rely on that.  ``workload`` names
+    what the shards compute (``"timing"``, ``"leakage"``, …) on the
+    ``mc.run`` span, so a trace tells the MC passes apart.
     """
     tele = get_telemetry()
     workers = min(resolve_n_jobs(n_jobs), plan.n_shards)
     with tele.span(
-        "mc.run", shards=plan.n_shards, samples=plan.n_samples, workers=workers
+        "mc.run", shards=plan.n_shards, samples=plan.n_samples, workers=workers,
+        workload=workload,
     ):
         if workers <= 1:
             return _run_serial(task, plan, tele)

@@ -158,7 +158,7 @@ def run_monte_carlo_leakage(
         keep_samples=keep_samples,
     )
     plan = SampleShardPlan.build(n_samples, seed)
-    outcomes = run_sharded(task, plan, n_jobs=n_jobs)
+    outcomes = run_sharded(task, plan, n_jobs=n_jobs, workload="leakage")
     currents = np.concatenate([out.currents for out in outcomes])
     stats = merge_shard_stats([out.stats for out in outcomes])
     merged: List[ProcessSamples] = [

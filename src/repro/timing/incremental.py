@@ -7,9 +7,11 @@ for size changes, its fanin drivers' loads) can possibly move.
 updates exactly the affected cone, in topological order, stopping as soon
 as arrivals stop changing — the standard event-driven STA trick.
 
-Results are bit-identical to :func:`repro.timing.sta.run_sta` because the
-same per-gate delay formula is evaluated; the tests assert exact equality
-over randomized move sequences.
+Results are bit-identical to :func:`repro.timing.sta.run_sta`: a refresh
+runs the same array passes, and each point update evaluates the per-gate
+delay formula the vectorized delay model is bitwise equal to; the tests
+assert exact equality over randomized move sequences.  The event queue
+itself stays scalar — it touches only the changed cone.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import numpy as np
 from ..errors import TimingError
 from ..tech.corners import ProcessCorner
 from .graph import TimingView
+from .sta import arrival_times, gate_delays
 
 
 class IncrementalSTA:
@@ -62,13 +65,8 @@ class IncrementalSTA:
 
     def refresh(self) -> None:
         """Full recompute (initialization or after bulk changes)."""
-        view = self.view
-        for i in range(view.n_gates):
-            self.delays[i] = self._gate_delay(i)
-        for i in range(view.n_gates):
-            fanins = view.fanin_gates[i]
-            worst = float(self.arrivals[fanins].max()) if fanins.size else 0.0
-            self.arrivals[i] = worst + self.delays[i]
+        self.delays[:] = gate_delays(self.view, self._corner)
+        self.arrivals[:] = arrival_times(self.view, self.delays)
 
     def notify(self, index: int, size_changed: bool) -> None:
         """Propagate the consequences of one gate's state change.

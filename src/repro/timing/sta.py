@@ -5,6 +5,11 @@ arrival times forward, required times backward, slacks, and the critical
 path.  Optionally evaluated at a :class:`~repro.tech.corners.ProcessCorner`
 — which is precisely how the deterministic baseline optimizer sees timing,
 and the pessimism the statistical flow removes.
+
+Both passes run rank by rank over the view's
+:class:`~repro.timing.graph.LevelSchedule`, one NumPy operation per
+(rank, fanin column).  ``max``/``min`` are exact, so the results are
+bitwise equal to a per-gate topological loop.
 """
 
 from __future__ import annotations
@@ -70,6 +75,35 @@ def corner_delay_factor(view: TimingView, corner: ProcessCorner) -> dict:
     return factors
 
 
+def gate_delays(view: TimingView, corner: Optional[ProcessCorner] = None) -> np.ndarray:
+    """Every gate's delay at the current state, optionally at a corner [s]."""
+    delays = view.nominal_delays()
+    if corner is not None:
+        factors = corner_delay_factor(view, corner)
+        delays = delays * np.array([factors[v] for v in view.vths()])
+    return delays
+
+
+def arrival_times(view: TimingView, delays: np.ndarray) -> np.ndarray:
+    """Latest arrival at every gate output: a levelized max-plus pass.
+
+    Primary-input fanins arrive at t=0; a gate with only such fanins has
+    no gate fanin and sits in rank 0, where its arrival is its delay.
+    """
+    arrivals = np.empty(view.n_gates)
+    schedule = view.schedule
+    for (gates, fanins), active in zip(schedule.levels, schedule.active):
+        if not active:
+            arrivals[gates] = delays[gates]
+            continue
+        worst = arrivals[fanins[:, 0]]
+        for j in range(1, len(active)):
+            rows = active[j]
+            np.maximum(worst[:rows], arrivals[fanins[:rows, j]], out=worst[:rows])
+        arrivals[gates] = worst + delays[gates]
+    return arrivals
+
+
 def run_sta(
     circuit_or_view: Circuit | TimingView,
     target_delay: Optional[float] = None,
@@ -94,20 +128,8 @@ def run_sta(
         if isinstance(circuit_or_view, TimingView)
         else TimingView(circuit_or_view, config)
     )
-    n = view.n_gates
-    delays = view.nominal_delays()
-    if corner is not None:
-        factors = corner_delay_factor(view, corner)
-        vths = view.vths()
-        delays = delays * np.array([factors[v] for v in vths])
-
-    arrivals = np.empty(n)
-    for i in range(n):
-        fanins = view.fanin_gates[i]
-        worst_in = float(arrivals[fanins].max()) if fanins.size else 0.0
-        # Primary-input fanins arrive at t=0; they only matter when they
-        # are the *only* fanins, in which case worst_in is already 0.
-        arrivals[i] = worst_in + delays[i]
+    delays = gate_delays(view, corner)
+    arrivals = arrival_times(view, delays)
 
     po = view.primary_output_indices()
     circuit_delay = float(arrivals[po].max())
@@ -116,16 +138,18 @@ def run_sta(
     if target_delay <= 0:
         raise TimingError(f"target delay must be positive, got {target_delay}")
 
-    required = np.full(n, math.inf)
+    required = np.full(view.n_gates, math.inf)
     required[po] = target_delay
-    for i in range(n - 1, -1, -1):
-        req_i = required[i]
-        if math.isinf(req_i):
-            continue
-        latest_input_arrival = req_i - delays[i]
-        for f in view.fanin_gates[i]:
-            if latest_input_arrival < required[f]:
-                required[f] = latest_input_arrival
+    schedule = view.schedule
+    for (gates, fanins), active in zip(
+        reversed(schedule.levels), reversed(schedule.active)
+    ):
+        # Consumers sit in later ranks, so each required time is final
+        # before its gate's rank is reached.  +inf (no path to an output)
+        # stays +inf through the subtraction and never wins the min.
+        latest_input_arrival = required[gates] - delays[gates]
+        for j, rows in enumerate(active):
+            np.minimum.at(required, fanins[:rows, j], latest_input_arrival[:rows])
     # Gates with no path to any primary output keep +inf required time;
     # clamp them to the target so slack stays finite (they are timing-
     # irrelevant, and lint flags them separately).

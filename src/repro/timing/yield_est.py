@@ -203,7 +203,9 @@ def estimate_timing_yield(
     )
     size = shard_size if shard_size is not None else est.plan_shard_size(n_samples)
     plan = SampleShardPlan.build(n_samples, seed, shard_size=size)
-    states = run_sharded(est.make_shard_task(ctx), plan, n_jobs=n_jobs)
+    states = run_sharded(
+        est.make_shard_task(ctx), plan, n_jobs=n_jobs, workload="yield"
+    )
     return est.finalize(states, ctx)
 
 

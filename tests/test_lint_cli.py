@@ -107,12 +107,12 @@ class TestEffectsLookups:
     def test_class_method_lookup(self, capsys):
         assert main(["lint", "--effects", "LevelSchedule.build"]) == 0
         out = capsys.readouterr().out
-        assert "repro.timing.mc.LevelSchedule.build:" in out
+        assert "repro.timing.graph.LevelSchedule.build:" in out
 
     def test_module_path_lists_every_node(self, capsys):
         assert main(["lint", "--effects", "timing.mc"]) == 0
         out = capsys.readouterr().out
-        assert "repro.timing.mc.LevelSchedule.build:" in out
+        assert "repro.timing.mc.TimingKernel.from_view:" in out
         assert "repro.timing.mc.run_monte_carlo_sta:" in out
 
     def test_full_module_path_accepted(self, capsys):
@@ -136,7 +136,7 @@ class TestProfileFlag:
     def test_profiled_self_lint_reports_measured_seconds(self, tmp_path, capsys):
         trace = tmp_path / "trace.jsonl"
         trace.write_text(
-            json.dumps({"type": "span", "name": "ssta.run", "dur": 1.25}) + "\n"
+            json.dumps({"type": "span", "name": "opt.flow", "dur": 1.25}) + "\n"
         )
         args = ["lint", "--self", "--passes", "perf", "--profile", str(trace)]
         assert main(args) == 0

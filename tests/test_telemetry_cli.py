@@ -46,6 +46,20 @@ class TestTelemetryFlag:
         # The mc command runs both a leakage and a timing MC pass.
         assert snap.value("mc_samples_total") == 400.0
 
+    def test_mc_run_spans_name_their_workload(self, tmp_path, capsys):
+        trace = tmp_path / "trace.jsonl"
+        code = run_cli(
+            "mc", "c17", "--samples", "200", "--estimator", "isle",
+            "--telemetry", str(trace),
+        )
+        capsys.readouterr()
+        assert code == 0
+        workloads = sorted(
+            r["attrs"]["workload"] for r in read_events(trace)
+            if r["type"] == "span" and r["name"] == "mc.run"
+        )
+        assert workloads == ["leakage", "timing", "yield"]
+
     def test_campaign_run_writes_trace(self, tmp_path, capsys):
         trace = tmp_path / "trace.jsonl"
         code = run_cli(
