@@ -2,8 +2,10 @@
 
 The experiment replays the pass's whole adoption workflow end to end:
 
-1. run a traced Monte-Carlo STA on c432 (the telemetry JSONL trace the
-   ``--profile`` flag consumes);
+1. run a traced Monte-Carlo STA, SSTA and deterministic optimization on
+   c432 (the telemetry JSONL trace the ``--profile`` flag consumes; the
+   optimizer's ``opt.*`` spans reach the sizing and power-model loops
+   that remain on the worklist);
 2. run the perf pass over the installed package with that profile and
    assert the worklist ranks by measured seconds, carries at least the
    triage floor of findings, and that the pass's former #1 finding —
@@ -30,6 +32,7 @@ from _harness import bench_jobs, report, report_json, run_once
 
 import repro
 from repro.analysis import format_table, prepare
+from repro.core import OptimizerConfig, optimize_deterministic
 from repro.lint import LintContext, LintOptions, SpanProfile, run_lint
 from repro.telemetry import telemetry_session
 from repro.timing import run_monte_carlo_sta, run_ssta
@@ -63,15 +66,21 @@ def scalar_propagate(samples, nominal, sens_l, sens_v, fanin_gates, po):
 
 
 def traced_mc(setup, trace_path):
-    # MC populates the mc.* spans; SSTA populates ssta.run, the span the
-    # remaining vectorization debt in ssta.py is hot via — the same
-    # workload mix the CI perf-lint job traces.
+    # MC populates the mc.* spans and SSTA populates ssta.run — the same
+    # workload mix the CI perf-lint job traces.  The deterministic
+    # optimizer populates the opt.* spans, through which the sizing and
+    # power-model loops still on the worklist are hot.
     with telemetry_session(path=trace_path):
         result = run_monte_carlo_sta(
             setup.circuit, setup.varmodel, n_samples=MC_SAMPLES, seed=SEED,
             n_jobs=bench_jobs(), keep_samples=False,
         )
         run_ssta(setup.circuit, setup.varmodel)
+        fresh = prepare(BENCH)  # the optimizer rewrites its circuit
+        optimize_deterministic(
+            fresh.circuit, fresh.spec, fresh.varmodel,
+            config=OptimizerConfig(n_jobs=bench_jobs()),
+        )
     return result
 
 

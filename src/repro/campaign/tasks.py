@@ -29,6 +29,7 @@ from ..core.deterministic import optimize_deterministic
 from ..core.result import MetricsSnapshot, OptimizationResult
 from ..core.statistical import optimize_statistical
 from ..errors import CampaignError
+from ..mcstat import YieldEstimate
 from ..power import analyze_leakage, analyze_statistical_leakage, run_monte_carlo_leakage
 from ..tech.technology import VthClass
 from ..telemetry import (
@@ -38,7 +39,6 @@ from ..telemetry import (
     activate,
 )
 from ..timing import (
-    MCYieldEstimate,
     estimate_timing_yield,
     run_monte_carlo_sta,
     run_ssta,
@@ -256,24 +256,17 @@ def _run_mc(
         n_jobs=1, keep_samples=False,
     )
     if spec.mc_estimator == "plain":
-        # Historical path: yield read off the dies already sampled above.
-        timing_yield = timing.timing_yield(target)
-        estimate = MCYieldEstimate(
-            timing_yield=timing_yield,
-            n_samples=spec.mc_samples,
-            target_delay=target,
+        # Plain MC counts the timing-MC dies drawn above; no extra pass.
+        estimate = YieldEstimate.binomial(
+            timing.timing_yield(target), spec.mc_samples, target
         )
-        lo, hi = estimate.confidence_interval()
-        n_effective = float(spec.mc_samples)
     else:
         estimate = estimate_timing_yield(
             setup.circuit, setup.varmodel, target,
             n_samples=spec.mc_samples, seed=spec.mc_seed,
             n_jobs=1, estimator=spec.mc_estimator,
         )
-        timing_yield = estimate.timing_yield
-        lo, hi = estimate.confidence_interval()
-        n_effective = estimate.n_effective
+    lo, hi = estimate.confidence_interval()
     return {
         "benchmark": task.benchmark,
         "flow": task.params["flow"],
@@ -286,10 +279,10 @@ def _run_mc(
         "p95_delay": timing.percentile(0.95),
         "mean_leakage": leakage.mean_power,
         "p95_leakage": leakage.percentile_power(0.95),
-        "timing_yield": timing_yield,
+        "timing_yield": estimate.timing_yield,
         "yield_ci_low": lo,
         "yield_ci_high": hi,
-        "yield_n_effective": n_effective,
+        "yield_n_effective": estimate.n_effective,
     }
 
 

@@ -117,9 +117,8 @@ from .telemetry import (
     summarize_spans,
     telemetry_session,
 )
-from .mcstat import ESTIMATOR_NAMES
+from .mcstat import ESTIMATOR_NAMES, YieldEstimate
 from .timing import (
-    MCYieldEstimate,
     estimate_timing_yield,
     run_monte_carlo_sta,
     run_ssta,
@@ -210,6 +209,17 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_mc(args: argparse.Namespace) -> int:
+    # Reject a misused --bins before any analysis runs.
+    engine_params: dict = {}
+    if args.engine == "histogram":
+        engine_params["bins"] = validate_bins(
+            args.bins if args.bins is not None else DEFAULT_BINS
+        )
+    elif args.bins is not None:
+        raise EngineError(
+            "--bins only applies to the histogram engine; "
+            f"got --engine {args.engine}"
+        )
     lib, circuit = _resolve_circuit(args.circuit, args.tech)
     spec = default_variation(lib.tech.lnom)
     varmodel = build_variation_model(circuit, spec)
@@ -227,11 +237,9 @@ def _cmd_mc(args: argparse.Namespace) -> int:
         n_jobs=args.jobs, keep_samples=False,
     )
     if args.estimator == "plain":
-        # Historical path: yield read off the same dies as the table stats.
-        est = MCYieldEstimate(
-            timing_yield=timing_mc.timing_yield(target),
-            n_samples=args.samples,
-            target_delay=target,
+        # Plain MC counts the timing-MC dies drawn above; no extra pass.
+        est = YieldEstimate.binomial(
+            timing_mc.timing_yield(target), args.samples, target
         )
     else:
         est = estimate_timing_yield(
@@ -240,14 +248,8 @@ def _cmd_mc(args: argparse.Namespace) -> int:
             estimator=args.estimator,
         )
     # The analytic reference column comes from the selected timing
-    # engine; the default "clark" reads the SSTA result directly, which
-    # keeps the historical output byte-for-byte.
+    # engine; "clark" reads the SSTA result computed above.
     if args.engine == "clark":
-        if args.bins is not None:
-            raise EngineError(
-                "--bins only applies to the histogram engine; "
-                f"got --engine {args.engine}"
-            )
         ref_label = "analytic"
         ref_mean = ssta.circuit_delay.mean
         ref_sigma = ssta.circuit_delay.sigma
@@ -255,16 +257,6 @@ def _cmd_mc(args: argparse.Namespace) -> int:
         ref_yield = ssta.timing_yield(target)
         title_engine = ""
     else:
-        engine_params: dict = {}
-        if args.engine == "histogram":
-            engine_params["bins"] = validate_bins(
-                args.bins if args.bins is not None else DEFAULT_BINS
-            )
-        elif args.bins is not None:
-            raise EngineError(
-                "--bins only applies to the histogram engine; "
-                f"got --engine {args.engine}"
-            )
         if args.engine == "mc":
             engine_params.update(
                 n_samples=args.samples, seed=args.seed, n_jobs=args.jobs
@@ -984,12 +976,12 @@ def build_parser() -> argparse.ArgumentParser:
     optimize.add_argument(
         "--estimator", choices=ESTIMATOR_NAMES, default="plain",
         help="variance-reduced MC strategy for --mc-yield checks "
-             "(plain = historical behavior)",
+             "(plain = crude pass frequency)",
     )
     optimize.add_argument(
         "--engine", choices=ENGINE_NAMES, default="clark",
         help="statistical-timing engine for analytic yield evaluation "
-             "(clark = historical behavior; ignored while --mc-yield > 0)",
+             "(clark = analytic SSTA; ignored while --mc-yield > 0)",
     )
     _telemetry_flag(optimize)
 
@@ -1013,14 +1005,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     mc.add_argument(
         "--estimator", choices=ESTIMATOR_NAMES, default="plain",
-        help="variance-reduced yield estimator (plain = historical "
-             "frequency estimate; isle/sobol/cv need fewer samples for "
-             "the same confidence width)",
+        help="variance-reduced yield estimator (plain = frequency "
+             "estimate on the timing-MC dies; isle/sobol/cv need fewer "
+             "samples for the same confidence width)",
     )
     mc.add_argument(
         "--engine", choices=ENGINE_NAMES, default="clark",
         help="timing engine for the analytic reference column "
-             "(clark = historical SSTA output, byte-identical)",
+             "(clark = the SSTA canonical delay)",
     )
     mc.add_argument(
         "--bins", type=int, default=None, metavar="N",

@@ -67,13 +67,13 @@ class OptimizerConfig:
     yield_estimator:
         Which variance-reduced MC strategy the yield check uses when
         ``yield_mc_samples > 0`` (see :mod:`repro.mcstat`): ``plain``
-        (historical, bitwise-preserved), ``isle``, ``sobol``, or ``cv``.
+        (crude pass frequency), ``isle``, ``sobol``, or ``cv``.
         Every choice is bitwise deterministic for any ``n_jobs``.
     timing_engine:
         Statistical-timing engine for the *analytic* yield evaluation
         (used while ``yield_mc_samples == 0`` — see
-        :mod:`repro.engines`): ``clark`` (historical, bitwise-
-        preserved), ``histogram``, or ``mc``.
+        :mod:`repro.engines`): ``clark`` (analytic SSTA), ``histogram``,
+        or ``mc``.
     """
 
     delay_margin: float = 1.10

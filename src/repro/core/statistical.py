@@ -38,7 +38,7 @@ from ..telemetry import get_telemetry
 from ..timing.graph import TimingConfig, TimingView
 from ..timing.ssta import SSTAResult, run_ssta
 from ..timing.sta import STAResult, run_sta
-from ..timing.yield_est import estimate_timing_yield, mc_timing_yield
+from ..timing.yield_est import estimate_timing_yield
 from ..variation.model import VariationModel
 from ..variation.parameters import VariationSpec
 from .config import OptimizerConfig
@@ -102,28 +102,19 @@ class StatisticalStrategy(ConstraintStrategy):
     def evaluate_yield(self) -> float:
         """Timing yield at the current state: SSTA, engine, or sharded MC.
 
-        With ``yield_mc_samples > 0`` the exact constraint check runs the
-        parallel Monte-Carlo engine under common random numbers (fixed
-        seed): free of the Clark-max approximation, deterministic across
-        re-validations, and spread over ``config.n_jobs`` workers.
-        Otherwise the analytic check uses ``config.timing_engine`` —
-        ``clark`` keeps the historical :func:`run_ssta` path bitwise.
+        With ``yield_mc_samples > 0`` the exact constraint check runs
+        :func:`estimate_timing_yield` with ``config.yield_estimator``
+        under common random numbers (fixed seed): free of the Clark-max
+        approximation, deterministic across re-validations, and spread
+        over ``config.n_jobs`` workers.  Otherwise the analytic check
+        uses ``config.timing_engine``; ``clark`` calls :func:`run_ssta`
+        directly, without the endpoint summaries an engine result builds.
         """
         tele = get_telemetry()
         if self.config.yield_mc_samples > 0:
             estimator = self.config.yield_estimator
             with tele.span("opt.yield_eval", mode="mc", estimator=estimator):
                 tele.counter("opt_yield_evals_total", mode="mc").inc()
-                if estimator == "plain":
-                    # Historical path, bitwise-preserved.
-                    return mc_timing_yield(
-                        self.view,
-                        self.varmodel,
-                        self.target_delay,
-                        n_samples=self.config.yield_mc_samples,
-                        seed=self.config.yield_mc_seed,
-                        n_jobs=self.config.n_jobs,
-                    ).timing_yield
                 return estimate_timing_yield(
                     self.view,
                     self.varmodel,

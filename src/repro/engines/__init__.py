@@ -3,9 +3,9 @@
 One interface — :class:`TimingEngine.analyze` — over three backends:
 
 ``clark``
-    The historical first-order canonical SSTA (Clark's two-moment
-    Gaussian max).  Bitwise identical to calling
-    :func:`repro.timing.ssta.run_ssta` directly.
+    The first-order canonical SSTA (Clark's two-moment Gaussian max).
+    Bitwise identical to calling :func:`repro.timing.ssta.run_ssta`
+    directly.
 ``histogram``
     Distribution-shape-free lattice propagation: exact convolution sums
     and exact independent-max on a pinned bin grid, with the global

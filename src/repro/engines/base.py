@@ -21,6 +21,7 @@ import numpy as np
 
 from ..circuit.netlist import Circuit
 from ..errors import EngineError
+from ..mcstat import YieldEstimate
 from ..timing.canonical import Canonical
 from ..timing.graph import TimingConfig, TimingView
 from ..timing.yield_est import degenerate_cdf, degenerate_quantile
@@ -57,7 +58,7 @@ class GaussianDelay(DelayDistribution):
     """Canonical (Gaussian) delay — the Clark backend's native form.
 
     Pure delegation to :class:`~repro.timing.canonical.Canonical`, so
-    the adapter stays bitwise-identical to the historical SSTA path.
+    the adapter stays bitwise-identical to :func:`~repro.timing.run_ssta`.
     """
 
     canonical: Canonical
@@ -194,9 +195,9 @@ class EmpiricalDelay(DelayDistribution):
 
     def cdf_ci(self, t: float, z: float = 3.0) -> Tuple[float, float]:
         """``z``-sigma binomial interval on ``cdf(t)``, clamped to [0,1]."""
-        y = self.cdf(t)
-        half = z * math.sqrt(max(y * (1.0 - y), 0.0) / self.n_samples)
-        return (max(0.0, y - half), min(1.0, y + half))
+        return YieldEstimate.binomial(
+            self.cdf(t), self.n_samples, t
+        ).confidence_interval(z)
 
     def quantile_ci(self, q: float, z: float = 3.0) -> Tuple[float, float]:
         """Order-statistic ``z``-sigma interval on the ``q``-quantile."""

@@ -1,12 +1,13 @@
-"""Clark-max engine: adapter over the historical analytic SSTA.
+"""Clark-max engine: adapter over the analytic SSTA.
 
-A thin shim — :func:`~repro.timing.ssta.run_ssta` does all the work,
-exactly as it did before the engine subsystem existed, and the adapter
+:func:`~repro.timing.ssta.run_ssta` does all the work and the adapter
 only repackages its output.  The max-delay distribution *is* the SSTA
 canonical circuit delay (``GaussianDelay`` delegates every query to
 :class:`~repro.timing.canonical.Canonical`), so yields, quantiles, and
-moments through this engine are bitwise identical to the pre-engine
-``run_ssta`` path; the regression tests assert that equality.
+moments through this engine are bitwise identical to calling
+``run_ssta`` directly; the regression tests assert that equality.  On
+top of that it builds per-endpoint quantile summaries, which is why the
+optimizer's in-loop Clark check calls ``run_ssta`` itself.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ class ClarkEngine(TimingEngine):
         config: Optional[TimingConfig] = None,
         **params: object,
     ) -> TimingResult:
-        """Run the historical SSTA and wrap its result.
+        """Run SSTA and wrap its result.
 
         ``n_jobs`` is accepted for interface uniformity and ignored —
         the analytic propagation is single-pass and already cheap.

@@ -25,7 +25,7 @@ from ..parallel import SampleShardPlan, adaptive_shard_size, run_sharded
 from ..parallel.plan import SampleShard
 from ..telemetry import get_telemetry
 from ..timing.graph import TimingConfig, TimingView
-from ..timing.mc import TimingKernel, _draw_shard
+from ..timing.mc import TimingKernel
 from ..variation.model import VariationModel
 from .base import (
     EmpiricalDelay,
@@ -51,7 +51,9 @@ class _EndpointShardTask:
     kernel: TimingKernel
 
     def __call__(self, shard: SampleShard) -> np.ndarray:
-        samples = _draw_shard(self.varmodel, shard, self.kernel.relative_area)
+        samples = self.varmodel.sample(
+            shard.n_samples, shard.rng(), self.kernel.relative_area
+        )
         return self.kernel.endpoint_delays(samples)
 
 

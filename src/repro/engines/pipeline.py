@@ -37,7 +37,7 @@ from ..errors import EngineError
 from ..telemetry import get_telemetry
 from ..timing.canonical import Canonical
 from ..timing.graph import TimingConfig, TimingView
-from ..timing.mc import ProcessSamples, TimingKernel
+from ..timing.mc import TimingKernel
 from ..timing.ssta import run_ssta
 from ..variation.model import VariationModel
 from .base import (
@@ -281,11 +281,8 @@ def _mc_pipeline(
         kernel = TimingKernel.from_view(view)
         rng = np.random.default_rng(roots[k + 1])
         normals = _stage_normals(stage, n_samples, shared, rng)
-        z, delta_l, delta_vth = stage.varmodel.sample_from_normals(
-            normals, kernel.relative_area
-        )
         delays = kernel.delays(
-            ProcessSamples(z=z, delta_l=delta_l, delta_vth=delta_vth)
+            stage.varmodel.sample_from_normals(normals, kernel.relative_area)
         )
         stage_delays[k] = delays
         summaries.append(

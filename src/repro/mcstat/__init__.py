@@ -5,7 +5,9 @@ yield, all riding the deterministic sharded execution layer
 (:mod:`repro.parallel`) so every one is bitwise-identical across worker
 counts:
 
-* ``plain`` — the historical frequency estimate, bitwise-preserved;
+* ``plain`` — the crude frequency estimate with its binomial interval,
+  the same yield :func:`repro.timing.run_monte_carlo_sta` reports on the
+  same dies (:mod:`.plain`);
 * ``isle`` — ISLE-style importance sampling: a defensive-mixture
   proposal shifted toward the SSTA failure boundary with
   self-normalized likelihood weights (:mod:`.isle`);
@@ -26,7 +28,6 @@ analytically solvable toy kernels.
 from ..errors import EstimatorError
 from .base import (
     DelayMoments,
-    DieSamples,
     EstimatorContext,
     YieldEstimate,
     YieldEstimator,
@@ -63,7 +64,6 @@ def get_estimator(name: str) -> YieldEstimator:
 __all__ = [
     "ControlVariateEstimator",
     "DelayMoments",
-    "DieSamples",
     "ESTIMATOR_NAMES",
     "EstimatorContext",
     "EstimatorError",

@@ -38,25 +38,6 @@ from ..variation.model import VariationModel
 
 
 @dataclass(frozen=True)
-class DieSamples:
-    """Joint per-die process draws, in the timing kernel's duck shape.
-
-    Structurally identical to :class:`repro.timing.mc.ProcessSamples`
-    (the kernel only reads attributes), re-declared here so the
-    estimator layer stays free of timing imports.
-    """
-
-    z: np.ndarray  # (n_samples, n_globals)
-    delta_l: np.ndarray  # (n_samples, n_gates) [m]
-    delta_vth: np.ndarray  # (n_samples, n_gates) [V]
-
-    @property
-    def n_samples(self) -> int:
-        """Number of sampled dies."""
-        return self.z.shape[0]
-
-
-@dataclass(frozen=True)
 class DelayMoments:
     """Canonical-form circuit-delay moments the smart estimators exploit.
 
@@ -115,6 +96,26 @@ class YieldEstimate:
     n_samples: int
     n_effective: float
     target_delay: float
+
+    @classmethod
+    def binomial(
+        cls, timing_yield: float, n_samples: int, target_delay: float
+    ) -> "YieldEstimate":
+        """Plain-MC frequency estimate: pass fraction over ``n_samples`` dies.
+
+        The standard error is the exact binomial ``sqrt(y(1-y)/N)``, and
+        ``n_effective`` is ``N`` by definition.
+        """
+        y = timing_yield
+        std_error = math.sqrt(max(y * (1.0 - y), 0.0) / n_samples)
+        return cls(
+            estimator="plain",
+            timing_yield=timing_yield,
+            std_error=std_error,
+            n_samples=n_samples,
+            n_effective=float(n_samples),
+            target_delay=target_delay,
+        )
 
     def confidence_interval(self, z: float = 3.0) -> Tuple[float, float]:
         """``z``-sigma interval, clamped to the physical [0, 1] range."""

@@ -27,7 +27,6 @@ from ..parallel.plan import SampleShard
 from ..variation.model import VariationModel
 from .base import (
     DelayMoments,
-    DieSamples,
     EstimatorContext,
     YieldEstimate,
     YieldEstimator,
@@ -57,12 +56,12 @@ class _ControlVariateShardTask:
     moments: DelayMoments
 
     def __call__(self, shard: SampleShard) -> ControlVariateShardState:
-        z, delta_l, delta_vth = self.varmodel.sample(
+        samples = self.varmodel.sample(
             shard.n_samples, shard.rng(), self.kernel.relative_area
         )
-        delays = self.kernel.delays(DieSamples(z, delta_l, delta_vth))
+        delays = self.kernel.delays(samples)
         f = (delays <= self.target_delay).astype(float)
-        g = self.moments.conditional_yield(z, self.target_delay)
+        g = self.moments.conditional_yield(samples.z, self.target_delay)
         return ControlVariateShardState(
             n=shard.n_samples,
             sum_f=float(f.sum()),

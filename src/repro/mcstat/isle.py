@@ -40,7 +40,6 @@ from ..parallel.plan import SampleShard
 from ..variation.model import VariationModel
 from .base import (
     DelayMoments,
-    DieSamples,
     EstimatorContext,
     YieldEstimate,
     YieldEstimator,
@@ -70,8 +69,18 @@ def failure_shift(moments: DelayMoments, target_delay: float) -> np.ndarray:
     var = float(gs @ gs) + moments.indep_sigma * moments.indep_sigma
     if var <= 0.0:
         return np.zeros_like(gs)
-    mu = gs * ((target_delay - moments.mean) / var)
-    norm_mu = math.sqrt(float(mu @ mu))
+    slack = target_delay - moments.mean
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = gs * (slack / var)
+        norm_mu = math.sqrt(float(mu @ mu))
+    if not math.isfinite(norm_mu):
+        # A near-zero variance overflows slack / var.  Such a shift is
+        # clipped anyway: aim the full clip along gs (or nowhere).
+        if not np.any(gs):
+            return np.zeros_like(gs)
+        unit = gs / np.abs(gs).max()
+        unit = unit / math.sqrt(float(unit @ unit))
+        return unit * math.copysign(SHIFT_CLIP, slack)
     if norm_mu > SHIFT_CLIP:
         mu = mu * (SHIFT_CLIP / norm_mu)
     return mu
@@ -128,7 +137,7 @@ class _IsleShardTask:
         if not np.any(self.shift):
             # Proposal == nominal: take the exact plain draw path so the
             # sampled dies (and hence the estimate) match plain MC bitwise.
-            z, delta_l, delta_vth = self.varmodel.sample(
+            samples = self.varmodel.sample(
                 n, shard.rng(), self.kernel.relative_area
             )
             weights = np.ones(n)
@@ -138,11 +147,11 @@ class _IsleShardTask:
             normals = rng.standard_normal((n, self.varmodel.n_normals))
             k = self.shift.size
             normals[:, :k][in_shifted] += self.shift
-            z, delta_l, delta_vth = self.varmodel.sample_from_normals(
+            samples = self.varmodel.sample_from_normals(
                 normals, self.kernel.relative_area
             )
-            weights = mixture_weights(z, self.shift, self.lam)
-        delays = self.kernel.delays(DieSamples(z, delta_l, delta_vth))
+            weights = mixture_weights(samples.z, self.shift, self.lam)
+        delays = self.kernel.delays(samples)
         f = (delays <= self.target_delay).astype(float)
         w2 = weights * weights
         return IsleShardState(

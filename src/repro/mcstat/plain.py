@@ -1,23 +1,22 @@
-"""Plain Monte-Carlo yield estimator — the bitwise-preserved baseline.
+"""Plain Monte-Carlo yield estimator: the crude pass frequency.
 
-Each shard draws its dies through the historical
-:meth:`~repro.variation.model.VariationModel.sample` path on its own
-``SeedSequence`` child stream and reduces to an integer pass count, so
-the merged yield is the *identical* fraction
-:func:`repro.timing.yield_est.mc_timing_yield` has always reported:
-integer counts sum exactly, in any order, on any worker count.
+Each shard draws its dies through
+:meth:`~repro.variation.model.VariationModel.sample` on its own
+``SeedSequence`` child stream and reduces to an integer pass count.
+Integer counts sum exactly, in any order, on any worker count, so the
+merged yield is the same fraction
+:meth:`repro.timing.mc.MCTimingResult.timing_yield` reads off the same
+dies.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from ..parallel.plan import SampleShard
 from ..variation.model import VariationModel
 from .base import (
-    DieSamples,
     EstimatorContext,
     YieldEstimate,
     YieldEstimator,
@@ -42,10 +41,11 @@ class _PlainShardTask:
     target_delay: float
 
     def __call__(self, shard: SampleShard) -> PlainShardState:
-        z, delta_l, delta_vth = self.varmodel.sample(
-            shard.n_samples, shard.rng(), self.kernel.relative_area
+        delays = self.kernel.delays(
+            self.varmodel.sample(
+                shard.n_samples, shard.rng(), self.kernel.relative_area
+            )
         )
-        delays = self.kernel.delays(DieSamples(z, delta_l, delta_vth))
         return PlainShardState(
             n=shard.n_samples,
             n_pass=int((delays <= self.target_delay).sum()),
@@ -73,14 +73,4 @@ class PlainEstimator(YieldEstimator):
         require_states(states, self.name)
         n = sum(s.n for s in states)
         n_pass = sum(s.n_pass for s in states)
-        y = n_pass / n
-        std_error = math.sqrt(max(y * (1.0 - y), 0.0) / n)
-        return YieldEstimate(
-            estimator=self.name,
-            timing_yield=y,
-            std_error=std_error,
-            n_samples=n,
-            # By definition: n_effective is the plain-equivalent count.
-            n_effective=float(n),
-            target_delay=ctx.target_delay,
-        )
+        return YieldEstimate.binomial(n_pass / n, n, ctx.target_delay)

@@ -29,7 +29,6 @@ from scipy.stats import norm, qmc
 from ..parallel.plan import SampleShard
 from ..variation.model import VariationModel
 from .base import (
-    DieSamples,
     EstimatorContext,
     YieldEstimate,
     YieldEstimator,
@@ -84,10 +83,9 @@ class _SobolShardTask:
         normals = _sobol_normals(
             shard.n_samples, self.varmodel.n_normals, shard.rng()
         )
-        z, delta_l, delta_vth = self.varmodel.sample_from_normals(
-            normals, self.kernel.relative_area
+        delays = self.kernel.delays(
+            self.varmodel.sample_from_normals(normals, self.kernel.relative_area)
         )
-        delays = self.kernel.delays(DieSamples(z, delta_l, delta_vth))
         return SobolShardState(
             n=shard.n_samples,
             n_pass=int((delays <= self.target_delay).sum()),

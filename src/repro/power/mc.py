@@ -2,10 +2,10 @@
 
 Evaluates total leakage on sampled dies — vectorized as
 ``sum_g I_nom_g * exp(s_L dL + s_V dVth)`` — and, when given the *same*
-:class:`~repro.timing.mc.ProcessSamples` as a timing MC run, exposes the
-joint (delay, leakage) sample cloud: the scatter figure showing that fast
-dies are the leaky dies, which is the core physical fact behind the
-paper's statistical formulation.
+:class:`~repro.variation.model.ProcessSamples` as a timing MC run,
+exposes the joint (delay, leakage) sample cloud: the scatter figure
+showing that fast dies are the leaky dies, which is the core physical
+fact behind the paper's statistical formulation.
 
 Like timing MC, sampling runs on the sharded execution layer
 (:mod:`repro.parallel`): independent per-shard ``SeedSequence`` streams
@@ -31,8 +31,8 @@ from ..parallel import (
     run_sharded,
 )
 from ..parallel.plan import SampleShard
-from ..timing.mc import ProcessSamples, _concat_samples, _draw_shard
-from ..variation.model import VariationModel
+from ..timing.mc import _concat_samples
+from ..variation.model import ProcessSamples, VariationModel
 from .leakage import gate_leakage_currents
 from .probability import signal_probabilities
 
@@ -103,7 +103,9 @@ class _LeakageShardTask:
     keep_samples: bool
 
     def __call__(self, shard: SampleShard) -> _LeakageShardOut:
-        samples = _draw_shard(self.varmodel, shard, self.relative_area)
+        samples = self.varmodel.sample(
+            shard.n_samples, shard.rng(), self.relative_area
+        )
         currents = _total_currents(samples, self.nominal, self.s_l, self.s_v)
         return _LeakageShardOut(
             currents=currents,

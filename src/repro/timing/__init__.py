@@ -3,9 +3,9 @@
 from .canonical import Canonical, maximum_of
 from .clark import max_moments, min_moments, norm_cdf, norm_pdf
 from .graph import TimingConfig, TimingView
+from ..variation.model import ProcessSamples
 from .mc import (
     MCTimingResult,
-    ProcessSamples,
     TimingKernel,
     draw_samples,
     run_monte_carlo_sta,
@@ -14,12 +14,10 @@ from .slack import StatisticalSlackResult, statistical_slacks
 from .ssta import SSTAResult, gate_delay_canonicals, run_ssta
 from .sta import STAResult, corner_delay_factor, run_sta
 from .yield_est import (
-    MCYieldEstimate,
     degenerate_cdf,
     degenerate_quantile,
     empirical_yield_curve,
     estimate_timing_yield,
-    mc_timing_yield,
     target_for_yield,
     timing_yield,
     yield_curve,
@@ -28,7 +26,6 @@ from .yield_est import (
 __all__ = [
     "Canonical",
     "MCTimingResult",
-    "MCYieldEstimate",
     "ProcessSamples",
     "SSTAResult",
     "STAResult",
@@ -45,7 +42,6 @@ __all__ = [
     "gate_delay_canonicals",
     "max_moments",
     "maximum_of",
-    "mc_timing_yield",
     "min_moments",
     "norm_cdf",
     "norm_pdf",

@@ -39,34 +39,8 @@ from ..parallel import (
     run_sharded,
 )
 from ..parallel.plan import SampleShard
-from ..variation.model import VariationModel
+from ..variation.model import ProcessSamples, VariationModel
 from .graph import LevelSchedule, TimingConfig, TimingView
-
-
-@dataclass(frozen=True)
-class ProcessSamples:
-    """Joint per-die process draws shared by timing and leakage MC."""
-
-    z: np.ndarray  # (n_samples, n_globals)
-    delta_l: np.ndarray  # (n_samples, n_gates) [m]
-    delta_vth: np.ndarray  # (n_samples, n_gates) [V]
-
-    @property
-    def n_samples(self) -> int:
-        """Number of sampled dies."""
-        return self.z.shape[0]
-
-
-def _draw_shard(
-    varmodel: VariationModel,
-    shard: SampleShard,
-    relative_area: np.ndarray | float,
-) -> ProcessSamples:
-    """Draw one shard's dies from its independent child stream."""
-    z, delta_l, delta_vth = varmodel.sample(
-        shard.n_samples, shard.rng(), relative_area
-    )
-    return ProcessSamples(z=z, delta_l=delta_l, delta_vth=delta_vth)
 
 
 def _concat_samples(parts: List[ProcessSamples]) -> ProcessSamples:
@@ -95,7 +69,10 @@ def draw_samples(
         n_samples, seed, shard_size=adaptive_shard_size(n_samples)
     )
     return _concat_samples(
-        [_draw_shard(varmodel, shard, relative_area) for shard in plan.shards]
+        [
+            varmodel.sample(shard.n_samples, shard.rng(), relative_area)
+            for shard in plan.shards
+        ]
     )
 
 
@@ -186,8 +163,8 @@ def _propagate_delays(
     """Per-die circuit delays: endpoint arrivals reduced over outputs.
 
     The ``max`` over primary outputs is exact arithmetic on the same
-    matrix :func:`_propagate_arrivals` returns, so splitting the two
-    changes nothing bitwise on the historical path.
+    matrix :func:`_propagate_arrivals` returns, so the circuit delays
+    are bitwise the column max of the endpoint matrix.
     """
     return _propagate_arrivals(
         samples, nominal, sens_l, sens_v, schedule, po
@@ -264,7 +241,9 @@ class _TimingShardTask:
     keep_samples: bool
 
     def __call__(self, shard: SampleShard) -> _TimingShardOut:
-        samples = _draw_shard(self.varmodel, shard, self.kernel.relative_area)
+        samples = self.varmodel.sample(
+            shard.n_samples, shard.rng(), self.kernel.relative_area
+        )
         delays = self.kernel.delays(samples)
         return _TimingShardOut(
             delays=delays,

@@ -2,17 +2,16 @@
 
 Thin, well-named wrappers around the SSTA canonical form and MC samples so
 experiment code reads like the paper: "yield at T", "T for 95% yield",
-"yield curve".  :func:`mc_timing_yield` is the sampled golden reference:
-it runs the sharded Monte-Carlo engine (bitwise deterministic for any
-``n_jobs``) and reports the empirical yield with its binomial confidence
-interval, so analytic estimates can be checked against sampling noise
-rather than against a bare point value.
+"yield curve".  :func:`estimate_timing_yield` is the one Monte-Carlo
+yield entry point: it runs a :mod:`repro.mcstat` estimator on the sharded
+layer (bitwise deterministic for any ``n_jobs``) and returns a
+:class:`~repro.mcstat.YieldEstimate` with its confidence interval, so
+analytic estimates can be checked against sampling noise rather than
+against a bare point value.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 import numpy as np
@@ -52,45 +51,6 @@ def yield_curve(
     return targets_arr, yields
 
 
-@dataclass(frozen=True)
-class MCYieldEstimate:
-    """Empirical timing yield with its binomial sampling uncertainty."""
-
-    timing_yield: float
-    n_samples: int
-    target_delay: float
-
-    @property
-    def std_error(self) -> float:
-        """Binomial standard error ``sqrt(y(1-y)/N)`` of the estimate.
-
-        A degenerate estimate over zero dies has no sampling noise to
-        report; returning 0.0 keeps the confidence interval collapsed
-        on the point value instead of propagating a division by zero.
-        """
-        y = self.timing_yield
-        if self.n_samples < 1:
-            return 0.0
-        return math.sqrt(max(y * (1.0 - y), 0.0) / self.n_samples)
-
-    def confidence_interval(self, z: float = 3.0) -> Tuple[float, float]:
-        """``z``-sigma binomial interval, clamped to [0, 1]."""
-        half = z * self.std_error
-        return (
-            max(0.0, self.timing_yield - half),
-            min(1.0, self.timing_yield + half),
-        )
-
-    def agrees_with(self, analytic_yield: float, z: float = 3.0) -> bool:
-        """Does an analytic estimate fall inside the ``z``-sigma interval?
-
-        Degenerate empirical yields (exactly 0 or 1) have zero binomial
-        width; a tiny one-count floor keeps the check meaningful there.
-        """
-        half = z * max(self.std_error, 1.0 / max(self.n_samples, 1))
-        return abs(analytic_yield - self.timing_yield) <= half
-
-
 def degenerate_cdf(point: float, target: float) -> float:
     """CDF of a zero-variance (point-mass) delay: a unit step.
 
@@ -109,41 +69,6 @@ def degenerate_quantile(point: float, q: float) -> float:
     return point
 
 
-def mc_timing_yield(
-    circuit_or_view: "Circuit | TimingView",
-    varmodel: "VariationModel",
-    target_delay: float,
-    n_samples: int = 4000,
-    seed: int = 0,
-    n_jobs: int = 1,
-    config: "Optional[TimingConfig]" = None,
-) -> MCYieldEstimate:
-    """Monte-Carlo timing yield on the sharded execution layer.
-
-    Runs in the cheap ``keep_samples=False`` mode — only per-die scalar
-    delays and streaming moments cross worker boundaries — and is bitwise
-    deterministic for any ``n_jobs`` at a fixed seed.
-    """
-    from .mc import run_monte_carlo_sta
-
-    if target_delay <= 0:
-        raise TimingError(f"target delay must be positive, got {target_delay}")
-    mc = run_monte_carlo_sta(
-        circuit_or_view,
-        varmodel,
-        n_samples=n_samples,
-        seed=seed,
-        config=config,
-        n_jobs=n_jobs,
-        keep_samples=False,
-    )
-    return MCYieldEstimate(
-        timing_yield=mc.timing_yield(target_delay),
-        n_samples=n_samples,
-        target_delay=target_delay,
-    )
-
-
 def estimate_timing_yield(
     circuit_or_view: "Circuit | TimingView",
     varmodel: "VariationModel",
@@ -155,17 +80,17 @@ def estimate_timing_yield(
     config: "Optional[TimingConfig]" = None,
     shard_size: Optional[int] = None,
 ) -> "YieldEstimate":
-    """Timing yield through a pluggable variance-reduced estimator.
+    """Monte-Carlo timing yield through a registered estimator.
 
-    The generalization of :func:`mc_timing_yield`: ``estimator`` picks
-    one of the registered strategies (``plain``, ``isle``, ``sobol``,
-    ``cv`` — see :mod:`repro.mcstat`), the moment-hungry ones get the
-    SSTA canonical circuit delay automatically, and every strategy runs
-    on the sharded layer, bitwise deterministic for any ``n_jobs``.
-    ``estimator="plain"`` reproduces :func:`mc_timing_yield`'s yield
-    exactly (same dies, same counts).  ``shard_size`` overrides the
-    adaptive plan — mostly for tests and for controlling the Sobol
-    replicate count (one replicate per shard).
+    ``estimator`` picks one of the strategies (``plain``, ``isle``,
+    ``sobol``, ``cv`` — see :mod:`repro.mcstat`), the moment-hungry ones
+    get the SSTA canonical circuit delay automatically, and every
+    strategy runs on the sharded layer, bitwise deterministic for any
+    ``n_jobs``.  ``estimator="plain"`` counts the same dies as
+    :func:`~repro.timing.mc.run_monte_carlo_sta` at the same seed, so
+    its yield equals that run's ``timing_yield(target_delay)``.
+    ``shard_size`` overrides the adaptive plan — mostly for tests and
+    for controlling the Sobol replicate count (one replicate per shard).
     """
     from ..mcstat import DelayMoments, EstimatorContext, get_estimator
     from ..parallel import SampleShardPlan, run_sharded

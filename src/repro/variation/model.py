@@ -21,13 +21,30 @@ the independent Vth sigma can optionally be de-rated for upsized gates via
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from ..errors import VariationError
 from .parameters import VariationSpec
 from .spatial import SpatialCorrelationModel
+
+
+class ProcessSamples(NamedTuple):
+    """Joint per-die process draws shared by timing and leakage MC.
+
+    A tuple with ``z`` first, so ``z, delta_l, delta_vth = model.sample(...)``
+    unpacks it and ``result[0].shape[0]`` counts its dies.
+    """
+
+    z: np.ndarray  # (n_samples, n_globals)
+    delta_l: np.ndarray  # (n_samples, n_gates) [m]
+    delta_vth: np.ndarray  # (n_samples, n_gates) [V]
+
+    @property
+    def n_samples(self) -> int:
+        """Number of sampled dies."""
+        return self.z.shape[0]
 
 
 class VariationModel:
@@ -150,7 +167,7 @@ class VariationModel:
         self,
         normals: np.ndarray,
         relative_area: np.ndarray | float = 1.0,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ) -> ProcessSamples:
         """Map caller-supplied standard normals through the factorization.
 
         ``normals`` is ``(n_samples, n_normals)`` in the layout documented
@@ -178,17 +195,17 @@ class VariationModel:
         v_indep = self.vth_indep_for(relative_area)
         if np.any(v_indep > 0):
             delta_v = delta_v + v_indep * r_v
-        return z, delta_l, delta_v
+        return ProcessSamples(z, delta_l, delta_v)
 
     def sample(
         self,
         n_samples: int,
         rng: np.random.Generator,
         relative_area: np.ndarray | float = 1.0,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ) -> ProcessSamples:
         """Draw joint process samples for every gate.
 
-        Returns ``(z, delta_l, delta_vth0)`` with shapes
+        Returns ``ProcessSamples(z, delta_l, delta_vth0)`` with shapes
         ``(n_samples, n_globals)``, ``(n_samples, n_gates)``,
         ``(n_samples, n_gates)``.  Exposing ``z`` lets callers evaluate
         timing and leakage on the *same* dies.
@@ -207,4 +224,4 @@ class VariationModel:
             delta_v = delta_v + v_indep * rng.standard_normal(
                 (n_samples, self.n_gates)
             )
-        return z, delta_l, delta_v
+        return ProcessSamples(z, delta_l, delta_v)

@@ -40,8 +40,9 @@ RESULTS = Path(__file__).resolve().parent.parent / "benchmarks" / "results"
 
 def load(name):
     path = RESULTS / name
-    if not path.exists():
-        pytest.skip(f"{name} not committed")
+    assert path.exists(), (
+        f"{name} is a committed result but is missing from benchmarks/results"
+    )
     return json.loads(path.read_text())
 
 

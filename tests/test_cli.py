@@ -153,6 +153,24 @@ def test_mc_invalid_bins_rejected(capsys):
     assert "bins must be in" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--bins", "8"], "--bins only applies"),
+        (["--engine", "histogram", "--bins", "1"], "bins must be in"),
+    ],
+)
+def test_mc_bins_validated_before_any_monte_carlo(monkeypatch, capsys, argv, message):
+    import repro.cli
+
+    def no_mc(*args, **kwargs):
+        raise AssertionError("Monte Carlo ran before --bins was validated")
+
+    monkeypatch.setattr(repro.cli, "run_monte_carlo_sta", no_mc)
+    assert main(["mc", "c17", *argv]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_mc_unknown_engine_rejected_by_parser():
     import pytest
 

@@ -29,7 +29,7 @@ from repro.mcstat import (
     IsleEstimator,
     get_estimator,
 )
-from repro.timing import estimate_timing_yield, mc_timing_yield
+from repro.timing import estimate_timing_yield, run_monte_carlo_sta
 
 requires_multicore = pytest.mark.skipif(
     (os.cpu_count() or 1) < 2 and not os.environ.get("REPRO_FORCE_PARALLEL_TESTS"),
@@ -138,15 +138,35 @@ class TestTimingDriver:
         from repro.timing import run_ssta
 
         target = run_ssta(c432, varmodel_c432).circuit_delay.percentile(0.95)
-        legacy = mc_timing_yield(
-            c432, varmodel_c432, target, n_samples=2048, seed=SEED
+        mc = run_monte_carlo_sta(
+            c432, varmodel_c432, n_samples=2048, seed=SEED, keep_samples=False
         )
         est = estimate_timing_yield(
             c432, varmodel_c432, target, n_samples=2048, seed=SEED,
             estimator="plain",
         )
-        assert est.timing_yield == legacy.timing_yield
-        assert est.n_samples == legacy.n_samples
+        assert est.timing_yield == mc.timing_yield(target)
+        assert est.n_samples == 2048
+        assert est.n_effective == 2048
+
+    # 70000 dies cross the adaptive shard-size boundary (65536).
+    @pytest.mark.parametrize("n_samples", [3000, 70000])
+    def test_mc_engine_cdf_ci_matches_plain_estimate(self, c17, spec, n_samples):
+        from repro.circuit.placement import build_variation_model
+        from repro.engines import get_engine
+        from repro.timing import run_ssta
+
+        varmodel = build_variation_model(c17, spec)
+        target = run_ssta(c17, varmodel).circuit_delay.percentile(0.9)
+        est = estimate_timing_yield(
+            c17, varmodel, target, n_samples=n_samples, seed=SEED,
+            estimator="plain",
+        )
+        result = get_engine("mc").analyze(
+            c17, varmodel, n_samples=n_samples, seed=SEED
+        )
+        assert result.yield_at(target) == est.timing_yield
+        assert result.max_delay.cdf_ci(target) == est.confidence_interval()
 
     @requires_multicore
     @pytest.mark.parametrize("name", ALL)

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import EstimatorError
@@ -102,6 +102,9 @@ class TestFailureShift:
         s1=st.floats(0.0, 1.0),
         indep=st.floats(0.0, 1.0),
     )
+    # Subnormal variances overflow slack / var to inf/nan unless guarded.
+    @example(mean=1.0, target=2.0, s0=4.64069368116539e-160, s1=0.0, indep=0.0)
+    @example(mean=1.0, target=2.0, s0=0.0, s1=0.0, indep=1e-160)
     @settings(max_examples=200)
     def test_shift_is_clipped_and_aims_at_failure(
         self, mean, target, s0, s1, indep

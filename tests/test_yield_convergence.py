@@ -11,10 +11,21 @@ than an engine bug.  The seed is fixed, so the check is deterministic.
 
 import pytest
 
-from repro.timing import MCYieldEstimate, mc_timing_yield, run_ssta
+from repro.mcstat import YieldEstimate
+from repro.timing import estimate_timing_yield, run_ssta
 
 N_SAMPLES = 20_000
 SEED = 7
+
+
+def agrees_with(est: YieldEstimate, analytic_yield: float, z: float = 3.0) -> bool:
+    """Is ``analytic_yield`` inside the estimate's ``z``-sigma band?
+
+    A degenerate empirical yield (exactly 0 or 1) has zero binomial
+    width, so the band is floored at one count (1/N).
+    """
+    half = z * max(est.std_error, 1.0 / est.n_samples)
+    return abs(analytic_yield - est.timing_yield) <= half
 
 
 class TestConvergence:
@@ -25,14 +36,14 @@ class TestConvergence:
         ssta = run_ssta(rca8, varmodel_rca8)
         target = ssta.circuit_delay.percentile(eta)
         analytic = ssta.timing_yield(target)
-        est = mc_timing_yield(
+        est = estimate_timing_yield(
             rca8, varmodel_rca8, target, n_samples=N_SAMPLES, seed=SEED
         )
         assert est.n_samples == N_SAMPLES
         assert est.target_delay == target
         lo, hi = est.confidence_interval()
         assert lo <= est.timing_yield <= hi
-        assert est.agrees_with(analytic), (
+        assert agrees_with(est, analytic), (
             f"MC yield {est.timing_yield:.4f} vs analytic {analytic:.4f} "
             f"outside 3-sigma ({3 * est.std_error:.4f}) at eta={eta}"
         )
@@ -40,10 +51,10 @@ class TestConvergence:
     def test_std_error_shrinks_with_samples(self, rca8, varmodel_rca8):
         ssta = run_ssta(rca8, varmodel_rca8)
         target = ssta.circuit_delay.percentile(0.8)
-        small = mc_timing_yield(
+        small = estimate_timing_yield(
             rca8, varmodel_rca8, target, n_samples=1000, seed=SEED
         )
-        large = mc_timing_yield(
+        large = estimate_timing_yield(
             rca8, varmodel_rca8, target, n_samples=N_SAMPLES, seed=SEED
         )
         assert large.std_error < small.std_error
@@ -51,19 +62,19 @@ class TestConvergence:
 
 class TestEstimateAlgebra:
     def test_confidence_interval_clamped_to_unit(self):
-        est = MCYieldEstimate(timing_yield=0.999, n_samples=100, target_delay=1e-9)
+        est = YieldEstimate.binomial(0.999, 100, 1e-9)
         lo, hi = est.confidence_interval()
         assert 0.0 <= lo <= hi <= 1.0
 
     def test_degenerate_yield_keeps_error_floor(self):
-        est = MCYieldEstimate(timing_yield=1.0, n_samples=1000, target_delay=1e-9)
+        est = YieldEstimate.binomial(1.0, 1000, 1e-9)
         assert est.std_error == 0.0
-        # agrees_with never divides by a zero band: the 1/N floor applies.
-        assert est.agrees_with(1.0)
-        assert not est.agrees_with(0.5)
+        # The band never collapses to zero width: the 1/N floor applies.
+        assert agrees_with(est, 1.0)
+        assert not agrees_with(est, 0.5)
 
     def test_three_sigma_band_width(self):
-        est = MCYieldEstimate(timing_yield=0.5, n_samples=10_000, target_delay=1e-9)
+        est = YieldEstimate.binomial(0.5, 10_000, 1e-9)
         assert est.std_error == pytest.approx(0.005)
-        assert est.agrees_with(0.514)
-        assert not est.agrees_with(0.516)
+        assert agrees_with(est, 0.514)
+        assert not agrees_with(est, 0.516)

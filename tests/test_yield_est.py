@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from repro.errors import TimingError
-from repro.mcstat import ESTIMATOR_NAMES
+from repro.mcstat import ESTIMATOR_NAMES, YieldEstimate
 from repro.timing import (
     Canonical,
-    MCYieldEstimate,
     degenerate_cdf,
     degenerate_quantile,
     empirical_yield_curve,
@@ -109,28 +108,23 @@ class TestDegenerateHelpers:
         assert dist.quantile(0.5) == 1e-9
 
 
-class TestMCYieldEstimateEdges:
-    """Degenerate empirical yields must stay NaN-free and clamped."""
+class TestBinomialEstimateEdges:
+    """Degenerate plain-MC yields must stay NaN-free and clamped."""
 
     @pytest.mark.parametrize("y", [0.0, 1.0])
     def test_degenerate_yield_has_zero_stderr(self, y):
-        est = MCYieldEstimate(timing_yield=y, n_samples=100, target_delay=1e-9)
+        est = YieldEstimate.binomial(y, 100, 1e-9)
         assert est.std_error == 0.0
         assert not math.isnan(est.std_error)
         lo, hi = est.confidence_interval()
         assert (lo, hi) == (y, y)
 
     def test_single_sample_estimate(self):
-        est = MCYieldEstimate(timing_yield=1.0, n_samples=1, target_delay=1e-9)
+        est = YieldEstimate.binomial(1.0, 1, 1e-9)
         assert est.std_error == 0.0
-        # One sample carries no resolution: the one-count floor makes
-        # agrees_with accept any plausible analytic value (never NaN).
-        assert est.agrees_with(0.5, z=3.0)
-        degenerate = MCYieldEstimate(
-            timing_yield=1.0, n_samples=1000, target_delay=1e-9
-        )
-        assert degenerate.agrees_with(0.999, z=3.0)
-        assert not degenerate.agrees_with(0.9, z=3.0)
+        assert est.n_effective == 1.0
+        assert est.estimator == "plain"
+        assert est.confidence_interval() == (1.0, 1.0)
 
 
 class TestEstimateTimingYieldEdges:
