@@ -98,7 +98,6 @@ from .lint import (
     render_sarif,
     render_text,
     run_lint,
-    run_lint_sharded,
     write_baseline,
 )
 from .power import (
@@ -397,29 +396,18 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         spec = default_variation(library.tech.lnom)
         if args.target_delay is not None:
             target_delay = ps(args.target_delay)
-    source_root = Path(__file__).parent if args.self_lint else None
-    if args.jobs != 1:
-        if args.circuit is not None or not args.self_lint:
-            raise ReproError(
-                "--jobs parallelizes the source-tree passes only; "
-                "use it with --self and no circuit"
-            )
-        report = run_lint_sharded(
-            source_root, options, passes=passes, n_jobs=args.jobs
-        )
-    else:
-        report = run_lint(
-            LintContext(
-                circuit=circuit,
-                library=library,
-                config=config,
-                spec=spec,
-                target_delay=target_delay,
-                source_root=source_root,
-                options=options,
-            ),
-            passes=passes,
-        )
+    report = run_lint(
+        LintContext(
+            circuit=circuit,
+            library=library,
+            config=config,
+            spec=spec,
+            target_delay=target_delay,
+            source_root=Path(__file__).parent if args.self_lint else None,
+            options=options,
+        ),
+        passes=passes,
+    )
     if args.write_baseline:
         baseline_path = Path(args.baseline or "lint-baseline.json")
         count = write_baseline(report, baseline_path)
@@ -447,9 +435,7 @@ def _cmd_lint_baseline(args: argparse.Namespace) -> int:
     source_root = Path(__file__).parent
     report = _self_lint_report()
     if args.baseline_action == "prune":
-        kept, removed = prune_baseline(
-            baseline_path, report, REGISTRY, source_root
-        )
+        kept, removed = prune_baseline(baseline_path, report, source_root)
         for entry, reason in removed:
             print(f"pruned {entry}\n    ({reason})")
         print(
@@ -458,7 +444,7 @@ def _cmd_lint_baseline(args: argparse.Namespace) -> int:
         )
         return 0
     entries = load_baseline(baseline_path)
-    dead = dead_entries(entries, report, REGISTRY, source_root)
+    dead = dead_entries(entries, report, source_root)
     if dead:
         for entry, reason in dead:
             print(f"dead entry {entry}\n    ({reason})")
@@ -1042,11 +1028,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--self", dest="self_lint", action="store_true",
         help="run the AST codebase pass over the repro source tree",
-    )
-    lint.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for the source-tree passes (0 = all CPUs); "
-             "the report is bitwise identical for any value",
     )
     lint.add_argument(
         "--passes", nargs="+", default=None, metavar="PASS",

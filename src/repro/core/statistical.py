@@ -131,7 +131,9 @@ class StatisticalStrategy(ConstraintStrategy):
                 tele.counter("opt_yield_evals_total", mode="engine").inc()
                 from ..engines import get_engine
 
-                result = get_engine(engine).analyze(self.view, self.varmodel)
+                result = get_engine(engine).analyze(
+                    self.view, self.varmodel, n_jobs=self.config.n_jobs
+                )
                 return result.yield_at(self.target_delay)
         with tele.span("opt.yield_eval", mode="ssta"):
             tele.counter("opt_yield_evals_total", mode="ssta").inc()

@@ -50,9 +50,8 @@ from .baseline import (
 )
 from .analysis.hotpath import SpanProfile
 from .context import LintContext, LintOptions
-from .core import PASS_NAMES, REGISTRY, Finding, Rule, RuleRegistry
-from .engine import LintEngine, LintReport, run_lint, select_passes
-from .sharded import run_lint_sharded
+from .core import PASS_NAMES, Finding, Rule, RuleRegistry
+from .engine import REGISTRY, LintEngine, LintReport, run_lint, select_passes
 from .reporters import (
     JSON_SCHEMA_VERSION,
     SARIF_VERSION,
@@ -86,7 +85,6 @@ __all__ = [
     "render_sarif",
     "render_text",
     "run_lint",
-    "run_lint_sharded",
     "select_passes",
     "write_baseline",
 ]

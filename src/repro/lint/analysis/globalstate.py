@@ -5,8 +5,8 @@ every module's top level for *mutable globals* — container literals or
 constructor calls (dicts, lists, sets, registries) and *singletons*
 (module-level instances of package classes) — then scans every
 call-graph node body for writes to them, shadow-aware and resolved
-through imports, so a ``REGISTRY.add_rule(...)`` in another module is
-attributed to the ``REGISTRY`` defined here.
+through imports, so a ``REGISTRY.register(...)`` in another module is
+attributed to the ``REGISTRY`` defined there.
 
 Like the call graph, the inventory under-approximates: a name that
 cannot be positively traced to a module-level mutable binding is never
@@ -362,7 +362,7 @@ class _AccessFinder(ast.NodeVisitor):
                 elif (var.kind == "singleton" and self.is_module_node
                         and var.module_name != self.info.name):
                     # Import-time method call on a foreign singleton:
-                    # registration (``REGISTRY.add_rule(...)``).  Inside
+                    # registration (``REGISTRY.register(...)``).  Inside
                     # functions a method call is indistinguishable from a
                     # read, so only top-level calls are treated as writes.
                     self._record(var, node.lineno, f"call:{func.attr}")

@@ -129,15 +129,29 @@ class ModuleIndex:
         selects the whole subpackage.  Whole-program structures (call
         graph, return-unit summaries) are still built from every module;
         this only narrows where findings are *reported*.
+
+        An entry that selects no module (a typo, a missing file, a path
+        outside the root) raises :class:`LintError`: a silent skip would
+        read as a clean bill of health for files never linted.
         """
         if paths is None:
             return self.modules()
-        resolved = [Path(p).resolve() for p in paths]
+        resolved = {p: Path(p).resolve() for p in paths}
+        matched = set()
         selected = []
         for info in self.modules():
             file = info.path.resolve()
-            if any(file == p or p in file.parents for p in resolved):
+            hits = [p for p, r in resolved.items()
+                    if file == r or r in file.parents]
+            if hits:
+                matched.update(hits)
                 selected.append(info)
+        unmatched = [p for p in resolved if p not in matched]
+        if unmatched:
+            raise LintError(
+                f"--paths entries select no module under {self.root}: "
+                + ", ".join(unmatched)
+            )
         return tuple(selected)
 
 

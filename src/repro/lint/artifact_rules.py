@@ -35,9 +35,9 @@ from typing import Iterator, List, Optional, Set, Tuple
 from ..errors import DiagnosticSeverity
 from .analysis.modules import ModuleInfo
 from .context import LintContext
-from .core import REGISTRY, Finding, Rule
+from .core import Finding, Rule
 
-RULE_RAW_ARTIFACT_WRITE = REGISTRY.add_rule(Rule(
+RULE_RAW_ARTIFACT_WRITE = Rule(
     code="RPR701",
     name="raw-artifact-write",
     severity=DiagnosticSeverity.WARNING,
@@ -46,9 +46,9 @@ RULE_RAW_ARTIFACT_WRITE = REGISTRY.add_rule(Rule(
             "half-written file that consumers will trust.  Route the "
             "write through repro.atomicio (tmp + fsync + os.replace).",
     pass_name="artifacts",
-))
+)
 
-RULE_WALL_CLOCK_DURATION = REGISTRY.add_rule(Rule(
+RULE_WALL_CLOCK_DURATION = Rule(
     code="RPR702",
     name="wall-clock-duration",
     severity=DiagnosticSeverity.WARNING,
@@ -57,7 +57,7 @@ RULE_WALL_CLOCK_DURATION = REGISTRY.add_rule(Rule(
             "time.perf_counter() or time.monotonic() for timing; justify "
             "deliberate wall-clock reads with an inline suppression.",
     pass_name="artifacts",
-))
+)
 
 #: Identifier fragments that mark a write as artifact-flavored.
 ARTIFACT_TOKENS: Tuple[str, ...] = (
@@ -73,7 +73,6 @@ ARTIFACT_MODULE_PREFIXES: Tuple[str, ...] = ("campaign",)
 EXEMPT_MODULE_SUFFIXES: Tuple[str, ...] = ("atomicio",)
 
 
-@REGISTRY.check("artifacts")
 def scan_artifact_writes(ctx: LintContext) -> Iterator[Finding]:
     """Flag raw writes to artifact-flavored paths across the tree."""
     index = ctx.module_index()
@@ -90,7 +89,6 @@ def scan_artifact_writes(ctx: LintContext) -> Iterator[Finding]:
             )
 
 
-@REGISTRY.check("artifacts")
 def scan_wall_clock_reads(ctx: LintContext) -> Iterator[Finding]:
     """Flag ``time.time()`` reads; durations need a monotonic clock."""
     index = ctx.module_index()

@@ -22,8 +22,8 @@ from typing import FrozenSet, List, Optional, Tuple
 
 from ..atomicio import atomic_write_json
 from ..errors import LintError
-from .core import REGISTRY, Finding, RuleRegistry
-from .engine import LintReport
+from .core import Finding
+from .engine import REGISTRY, LintReport
 
 #: Schema version of the baseline file.
 BASELINE_VERSION = 1
@@ -93,7 +93,6 @@ def apply_baseline(report: LintReport, entries: FrozenSet[str]) -> LintReport:
 def dead_entries(
     entries: FrozenSet[str],
     report: LintReport,
-    registry: RuleRegistry = REGISTRY,
     source_root: Optional[Path] = None,
 ) -> List[Tuple[str, str]]:
     """Baseline entries that no current finding matches, with reasons.
@@ -106,7 +105,7 @@ def dead_entries(
     Returns ``(entry, reason)`` pairs, sorted by entry.
     """
     current = {fingerprint(f) for f in report.findings}
-    known_codes = set(registry.codes())
+    known_codes = set(REGISTRY.codes())
     dead: List[Tuple[str, str]] = []
     for entry in sorted(entries):
         parts = entry.split("::", 2)
@@ -130,7 +129,6 @@ def dead_entries(
 def prune_baseline(
     path: Path,
     report: LintReport,
-    registry: RuleRegistry = REGISTRY,
     source_root: Optional[Path] = None,
 ) -> Tuple[int, List[Tuple[str, str]]]:
     """Drop dead entries from a baseline file, atomically.
@@ -140,7 +138,7 @@ def prune_baseline(
     file is rewritten only when something was actually removed.
     """
     entries = load_baseline(path)
-    removed = dead_entries(entries, report, registry, source_root)
+    removed = dead_entries(entries, report, source_root)
     if not removed:
         return len(entries), []
     kept = sorted(entries - {entry for entry, _ in removed})

@@ -21,44 +21,44 @@ from ..circuit.netlist import Circuit
 from ..errors import DiagnosticSeverity
 from ..tech.library import CellFunction, evaluate_function
 from .context import LintContext
-from .core import REGISTRY, Finding, Rule
+from .core import Finding, Rule
 
-RULE_UNUSED_INPUT = REGISTRY.add_rule(Rule(
+RULE_UNUSED_INPUT = Rule(
     code="RPR101",
     name="unused-input",
     severity=DiagnosticSeverity.WARNING,
     summary="A primary input drives no gate — dead port or mis-parsed netlist.",
     pass_name="circuit",
-))
+)
 
-RULE_DANGLING_GATE = REGISTRY.add_rule(Rule(
+RULE_DANGLING_GATE = Rule(
     code="RPR102",
     name="dangling-gate",
     severity=DiagnosticSeverity.WARNING,
     summary="A gate drives neither logic nor a primary output — an undriven "
             "cone that still burns leakage but never affects timing.",
     pass_name="circuit",
-))
+)
 
-RULE_DUPLICATE_PIN = REGISTRY.add_rule(Rule(
+RULE_DUPLICATE_PIN = Rule(
     code="RPR103",
     name="duplicate-pin",
     severity=DiagnosticSeverity.INFO,
     summary="One net feeds several pins of the same gate; legal, but usually "
             "a netlist-generation slip that degenerates the cell function.",
     pass_name="circuit",
-))
+)
 
-RULE_HIGH_FANOUT = REGISTRY.add_rule(Rule(
+RULE_HIGH_FANOUT = Rule(
     code="RPR104",
     name="high-fanout",
     severity=DiagnosticSeverity.WARNING,
     summary="A net drives more pins than any sized repeater tree should; the "
             "RC delay model degrades badly past this point.",
     pass_name="circuit",
-))
+)
 
-RULE_RECONVERGENCE = REGISTRY.add_rule(Rule(
+RULE_RECONVERGENCE = Rule(
     code="RPR105",
     name="shallow-reconvergence",
     severity=DiagnosticSeverity.INFO,
@@ -66,9 +66,9 @@ RULE_RECONVERGENCE = REGISTRY.add_rule(Rule(
             "is where the independence assumption behind signal probabilities "
             "and state-weighted leakage is least accurate.",
     pass_name="circuit",
-))
+)
 
-RULE_CONSTANT_CONE = REGISTRY.add_rule(Rule(
+RULE_CONSTANT_CONE = Rule(
     code="RPR106",
     name="constant-cone",
     severity=DiagnosticSeverity.WARNING,
@@ -76,10 +76,9 @@ RULE_CONSTANT_CONE = REGISTRY.add_rule(Rule(
             "itself), so its whole fanout cone is dead logic skewing the "
             "power and timing statistics.",
     pass_name="circuit",
-))
+)
 
 
-@REGISTRY.check("circuit")
 def check_unused_inputs(ctx: LintContext) -> Iterator[Finding]:
     """RPR101: primary inputs with no consumers."""
     circuit = ctx.circuit
@@ -91,7 +90,6 @@ def check_unused_inputs(ctx: LintContext) -> Iterator[Finding]:
             )
 
 
-@REGISTRY.check("circuit")
 def check_dangling_gates(ctx: LintContext) -> Iterator[Finding]:
     """RPR102: gates driving neither logic nor a primary output."""
     circuit = ctx.circuit
@@ -105,7 +103,6 @@ def check_dangling_gates(ctx: LintContext) -> Iterator[Finding]:
             )
 
 
-@REGISTRY.check("circuit")
 def check_duplicate_pins(ctx: LintContext) -> Iterator[Finding]:
     """RPR103: one net on several pins of the same gate."""
     circuit = ctx.circuit
@@ -118,7 +115,6 @@ def check_duplicate_pins(ctx: LintContext) -> Iterator[Finding]:
             )
 
 
-@REGISTRY.check("circuit")
 def check_high_fanout(ctx: LintContext) -> Iterator[Finding]:
     """RPR104: nets loaded beyond the ``max_fanout`` threshold."""
     circuit = ctx.circuit
@@ -132,7 +128,6 @@ def check_high_fanout(ctx: LintContext) -> Iterator[Finding]:
             )
 
 
-@REGISTRY.check("circuit")
 def check_shallow_reconvergence(ctx: LintContext) -> Iterator[Finding]:
     """RPR105: fanout branches that re-merge within ``reconvergence_depth``."""
     circuit = ctx.circuit
@@ -186,7 +181,6 @@ def _first_reconvergence(
     return None
 
 
-@REGISTRY.check("circuit")
 def check_constant_cones(ctx: LintContext) -> Iterator[Finding]:
     """RPR106: gates whose output value is independent of every input.
 

@@ -26,18 +26,18 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 from ..errors import DiagnosticSeverity
 from .analysis.modules import ModuleInfo
 from .context import LintContext
-from .core import REGISTRY, Finding, Rule
+from .core import Finding, Rule
 
-RULE_UNSEEDED_RNG = REGISTRY.add_rule(Rule(
+RULE_UNSEEDED_RNG = Rule(
     code="RPR401",
     name="unseeded-rng",
     severity=DiagnosticSeverity.ERROR,
     summary="np.random.default_rng() without a seed breaks run-to-run "
             "reproducibility of every statistical comparison.",
     pass_name="codebase",
-))
+)
 
-RULE_FLOAT_EQUALITY = REGISTRY.add_rule(Rule(
+RULE_FLOAT_EQUALITY = Rule(
     code="RPR402",
     name="float-equality",
     severity=DiagnosticSeverity.WARNING,
@@ -45,34 +45,34 @@ RULE_FLOAT_EQUALITY = REGISTRY.add_rule(Rule(
             "almost always a tolerance bug; use math.isclose or an explicit "
             "fast-path suppression.",
     pass_name="codebase",
-))
+)
 
-RULE_RAW_UNIT_LITERAL = REGISTRY.add_rule(Rule(
+RULE_RAW_UNIT_LITERAL = Rule(
     code="RPR403",
     name="raw-unit-literal",
     severity=DiagnosticSeverity.WARNING,
     summary="Bare 1e-9-style conversion factors duplicate repro.units; the "
             "named helpers keep the SI convention greppable and typo-proof.",
     pass_name="codebase",
-))
+)
 
-RULE_FOREIGN_EXCEPTION = REGISTRY.add_rule(Rule(
+RULE_FOREIGN_EXCEPTION = Rule(
     code="RPR404",
     name="foreign-exception",
     severity=DiagnosticSeverity.WARNING,
     summary="Library code should raise ReproError subclasses so callers can "
             "catch everything from this package with one except clause.",
     pass_name="codebase",
-))
+)
 
-RULE_MUTABLE_DEFAULT = REGISTRY.add_rule(Rule(
+RULE_MUTABLE_DEFAULT = Rule(
     code="RPR405",
     name="mutable-default",
     severity=DiagnosticSeverity.ERROR,
     summary="Mutable default arguments are shared across calls — state "
             "leaks between invocations that are meant to be independent.",
     pass_name="codebase",
-))
+)
 
 #: Conversion factors with a named repro.units equivalent.
 _UNIT_FACTORS: Dict[float, str] = {
@@ -107,7 +107,6 @@ def repro_error_names() -> Set[str]:
     return names
 
 
-@REGISTRY.check("codebase")
 def scan_codebase(ctx: LintContext) -> Iterator[Finding]:
     """Run every RPR4xx rule over all ``*.py`` files under ``source_root``.
 

@@ -33,9 +33,9 @@ from ..errors import DiagnosticSeverity
 from .analysis.globalstate import shared_defaults
 from .analysis.modules import ModuleInfo
 from .context import LintContext
-from .core import REGISTRY, Finding, Rule
+from .core import Finding, Rule
 
-RULE_GLOBAL_WRITE = REGISTRY.add_rule(Rule(
+RULE_GLOBAL_WRITE = Rule(
     code="RPR801",
     name="mutable-module-global-write",
     severity=DiagnosticSeverity.WARNING,
@@ -44,9 +44,9 @@ RULE_GLOBAL_WRITE = REGISTRY.add_rule(Rule(
             "concurrency — thread the state through parameters or a "
             "session object instead.",
     pass_name="concurrency",
-))
+)
 
-RULE_SINGLETON_MUTATION = REGISTRY.add_rule(Rule(
+RULE_SINGLETON_MUTATION = Rule(
     code="RPR802",
     name="singleton-mutation-outside-activate",
     severity=DiagnosticSeverity.WARNING,
@@ -55,9 +55,9 @@ RULE_SINGLETON_MUTATION = REGISTRY.add_rule(Rule(
             "mutation couples program behavior to import order and is "
             "invisible at the defining module.",
     pass_name="concurrency",
-))
+)
 
-RULE_CLASS_SHARED_CACHE = REGISTRY.add_rule(Rule(
+RULE_CLASS_SHARED_CACHE = Rule(
     code="RPR803",
     name="class-attribute-as-shared-cache",
     severity=DiagnosticSeverity.WARNING,
@@ -65,9 +65,9 @@ RULE_CLASS_SHARED_CACHE = REGISTRY.add_rule(Rule(
             "a parameter default aliases shared mutable state; every "
             "instance/call silently shares one object.",
     pass_name="concurrency",
-))
+)
 
-RULE_UNPICKLABLE_SUBMIT = REGISTRY.add_rule(Rule(
+RULE_UNPICKLABLE_SUBMIT = Rule(
     code="RPR804",
     name="unverifiable-pool-submission",
     severity=DiagnosticSeverity.WARNING,
@@ -76,9 +76,9 @@ RULE_UNPICKLABLE_SUBMIT = REGISTRY.add_rule(Rule(
             "picklability and worker-side behavior are unverifiable "
             "(lambdas and closures never pickle).",
     pass_name="concurrency",
-))
+)
 
-RULE_FORK_INHERITED_HANDLE = REGISTRY.add_rule(Rule(
+RULE_FORK_INHERITED_HANDLE = Rule(
     code="RPR805",
     name="fork-inherited-handle-in-worker",
     severity=DiagnosticSeverity.WARNING,
@@ -87,9 +87,9 @@ RULE_FORK_INHERITED_HANDLE = REGISTRY.add_rule(Rule(
             "machinery); workers share these with the parent at fork "
             "time, so behavior depends on fork timing.",
     pass_name="concurrency",
-))
+)
 
-RULE_POST_FORK_GLOBAL_READ = REGISTRY.add_rule(Rule(
+RULE_POST_FORK_GLOBAL_READ = Rule(
     code="RPR806",
     name="post-fork-global-read",
     severity=DiagnosticSeverity.WARNING,
@@ -98,13 +98,12 @@ RULE_POST_FORK_GLOBAL_READ = REGISTRY.add_rule(Rule(
             "worker's fork-inherited copy can diverge from the parent's "
             "view.",
     pass_name="concurrency",
-))
+)
 
 #: One violation: (rule, message, module, line).
 Violation = Tuple[Rule, str, ModuleInfo, int]
 
 
-@REGISTRY.check("concurrency")
 def scan_concurrency(ctx: LintContext) -> Iterator[Finding]:
     """Run the global-state and fork-boundary analyses."""
     program = ctx.whole_program()

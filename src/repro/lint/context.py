@@ -49,13 +49,13 @@ class LintOptions:
         *report* findings in these files or directories (CLI
         ``--paths``, used by the pre-commit changed-files hook).  The
         whole-program structures are still built from every module, so
-        interprocedural results stay exact.
+        interprocedural results stay exact.  An entry that selects no
+        module raises :class:`~repro.errors.LintError`.
     profile:
         Measured span seconds from a telemetry trace (CLI
         ``--profile``); the perf pass uses it to weight RPR9xx findings
         by attributed wall time.  ``None`` degrades to reachability-only
-        hot gating with zero weights.  Frozen and tuple-backed, so the
-        options object stays picklable for the sharded runner.
+        hot gating with zero weights.
     """
 
     max_fanout: int = 64

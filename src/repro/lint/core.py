@@ -10,13 +10,14 @@ passes, and the ``artifacts`` durability pass) the engine runs.
 
 Check functions take a :class:`repro.lint.context.LintContext` and yield
 findings; one check may report for several related rules (the AST pass
-does), so checks are registered per *pass*, not per rule.
+does), so checks are listed per *pass*, not per rule.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Callable, Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
 from ..errors import DiagnosticSeverity, LintError
 
@@ -135,36 +136,41 @@ class Finding:
         }
 
 
-#: Signature of a registered check: context in, findings out.
+#: Signature of a check function: context in, findings out.
 CheckFunction = Callable[["object"], Iterable[Finding]]
 
 
-@dataclass
 class RuleRegistry:
-    """Rules by code plus check functions grouped by pass."""
+    """An immutable table: rules by code, check functions by pass.
 
-    _rules: Dict[str, Rule] = field(default_factory=dict)
-    _checks: Dict[str, List[CheckFunction]] = field(default_factory=dict)
+    Built once from explicit ``rules`` and ``checks``; the table every
+    lint run uses is :data:`repro.lint.engine.REGISTRY`.  Construction
+    rejects duplicate codes, duplicate names, and unknown pass names.
+    """
 
-    def add_rule(self, rule: Rule) -> Rule:
-        """Register a rule; codes and names must be unique."""
-        if rule.code in self._rules:
-            raise LintError(f"duplicate rule code {rule.code}")
-        if any(r.name == rule.name for r in self._rules.values()):
-            raise LintError(f"duplicate rule name {rule.name!r}")
-        self._rules[rule.code] = rule
-        return rule
-
-    def check(self, pass_name: str) -> Callable[[CheckFunction], CheckFunction]:
-        """Decorator registering a check function under a pass."""
-        if pass_name not in PASS_NAMES:
-            raise LintError(f"unknown pass {pass_name!r}")
-
-        def decorate(fn: CheckFunction) -> CheckFunction:
-            self._checks.setdefault(pass_name, []).append(fn)
-            return fn
-
-        return decorate
+    def __init__(
+        self,
+        rules: Iterable[Rule] = (),
+        checks: Optional[Mapping[str, Iterable[CheckFunction]]] = None,
+    ) -> None:
+        by_code: Dict[str, Rule] = {}
+        names = set()
+        for rule in rules:
+            if rule.code in by_code:
+                raise LintError(f"duplicate rule code {rule.code}")
+            if rule.name in names:
+                raise LintError(f"duplicate rule name {rule.name!r}")
+            by_code[rule.code] = rule
+            names.add(rule.name)
+        by_pass: Dict[str, Tuple[CheckFunction, ...]] = {}
+        for pass_name, fns in (checks or {}).items():
+            if pass_name not in PASS_NAMES:
+                raise LintError(f"unknown pass {pass_name!r}")
+            by_pass[pass_name] = tuple(fns)
+        self._rules: Mapping[str, Rule] = MappingProxyType(by_code)
+        self._checks: Mapping[str, Tuple[CheckFunction, ...]] = (
+            MappingProxyType(by_pass)
+        )
 
     def rule(self, code: str) -> Rule:
         """Look up a rule by ``RPRxxx`` code (raises :class:`LintError`)."""
@@ -183,8 +189,8 @@ class RuleRegistry:
         return tuple(sorted(selected, key=lambda r: r.code))
 
     def checks(self, pass_name: str) -> Tuple[CheckFunction, ...]:
-        """Check functions registered under a pass."""
-        return tuple(self._checks.get(pass_name, ()))
+        """Check functions listed for a pass, in run order."""
+        return self._checks.get(pass_name, ())
 
     def codes(self) -> Tuple[str, ...]:
         """All registered rule codes, sorted."""
@@ -200,7 +206,3 @@ class RuleRegistry:
 
     def __iter__(self) -> Iterator[Rule]:
         return iter(self.rules())
-
-
-#: The process-wide default registry every rule module populates on import.
-REGISTRY = RuleRegistry()

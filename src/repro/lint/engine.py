@@ -4,7 +4,9 @@ The engine is deliberately dumb: it asks the registry for the checks of
 every runnable pass (a pass runs when the context carries its subject),
 executes them in order, and folds the findings into a :class:`LintReport`.
 All intelligence lives in the rules; all policy (what fails a build) lives
-in :meth:`LintReport.exit_code`.
+in :meth:`LintReport.exit_code`.  The rule modules only declare their
+rules and check functions; :data:`REGISTRY` below is the one table that
+wires them into passes.
 """
 
 from __future__ import annotations
@@ -13,20 +15,112 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from ..errors import DiagnosticSeverity, LintError
+from . import (
+    artifact_rules,
+    circuit_rules,
+    codebase,
+    concurrency_rules,
+    config_rules,
+    perf_rules,
+    rng_rules,
+    service_rules,
+    tech_rules,
+    units_rules,
+)
 from .context import LintContext
-from .core import PASS_NAMES, REGISTRY, Finding, RuleRegistry
+from .core import PASS_NAMES, Finding, RuleRegistry
 
-# Importing the rule modules populates the default registry.
-from . import circuit_rules as _circuit_rules  # noqa: F401
-from . import tech_rules as _tech_rules  # noqa: F401
-from . import config_rules as _config_rules  # noqa: F401
-from . import codebase as _codebase  # noqa: F401
-from . import units_rules as _units_rules  # noqa: F401
-from . import rng_rules as _rng_rules  # noqa: F401
-from . import artifact_rules as _artifact_rules  # noqa: F401
-from . import service_rules as _service_rules  # noqa: F401
-from . import concurrency_rules as _concurrency_rules  # noqa: F401
-from . import perf_rules as _perf_rules  # noqa: F401
+#: The rule table: every rule, and each pass's check functions in the
+#: order the engine runs them.  A new rule or check is added here.
+REGISTRY = RuleRegistry(
+    rules=(
+        circuit_rules.RULE_UNUSED_INPUT,
+        circuit_rules.RULE_DANGLING_GATE,
+        circuit_rules.RULE_DUPLICATE_PIN,
+        circuit_rules.RULE_HIGH_FANOUT,
+        circuit_rules.RULE_RECONVERGENCE,
+        circuit_rules.RULE_CONSTANT_CONE,
+        tech_rules.RULE_VTH_ORDERING,
+        tech_rules.RULE_LEAKAGE_ORDERING,
+        tech_rules.RULE_LEAKAGE_SIZE_MONOTONE,
+        tech_rules.RULE_DELAY_LOAD_MONOTONE,
+        tech_rules.RULE_DELAY_VTH_ORDERING,
+        tech_rules.RULE_TECH_BOUNDS,
+        tech_rules.RULE_FO4_BAND,
+        config_rules.RULE_YIELD_BAND,
+        config_rules.RULE_CONFIDENCE_MISMATCH,
+        config_rules.RULE_DEGENERATE_CHUNKING,
+        config_rules.RULE_SIGMA_FIRST_ORDER,
+        config_rules.RULE_LBIAS_GRID,
+        config_rules.RULE_ANNEAL_SCHEDULE,
+        config_rules.RULE_INFEASIBLE_TARGET,
+        codebase.RULE_UNSEEDED_RNG,
+        codebase.RULE_FLOAT_EQUALITY,
+        codebase.RULE_RAW_UNIT_LITERAL,
+        codebase.RULE_FOREIGN_EXCEPTION,
+        codebase.RULE_MUTABLE_DEFAULT,
+        units_rules.RULE_UNIT_MIXING,
+        units_rules.RULE_DOUBLE_CONVERSION,
+        units_rules.RULE_UNIT_NAME_MISMATCH,
+        rng_rules.RULE_TAINT_PATH,
+        rng_rules.RULE_MODULE_LEVEL_RNG,
+        rng_rules.RULE_SET_ORDER,
+        rng_rules.RULE_ID_BASED_KEY,
+        artifact_rules.RULE_RAW_ARTIFACT_WRITE,
+        artifact_rules.RULE_WALL_CLOCK_DURATION,
+        service_rules.RULE_GLOBAL_SESSION_ACCESS,
+        concurrency_rules.RULE_GLOBAL_WRITE,
+        concurrency_rules.RULE_SINGLETON_MUTATION,
+        concurrency_rules.RULE_CLASS_SHARED_CACHE,
+        concurrency_rules.RULE_UNPICKLABLE_SUBMIT,
+        concurrency_rules.RULE_FORK_INHERITED_HANDLE,
+        concurrency_rules.RULE_POST_FORK_GLOBAL_READ,
+        perf_rules.RULE_SCALAR_HOT_LOOP,
+        perf_rules.RULE_ALLOC_IN_HOT_LOOP,
+        perf_rules.RULE_LOOP_INVARIANT_CHAIN,
+        perf_rules.RULE_ELEMENTWISE_INDEX,
+        perf_rules.RULE_QUADRATIC_MEMBERSHIP,
+        perf_rules.RULE_UNORDERED_ACCUMULATION,
+    ),
+    checks={
+        "circuit": (
+            circuit_rules.check_unused_inputs,
+            circuit_rules.check_dangling_gates,
+            circuit_rules.check_duplicate_pins,
+            circuit_rules.check_high_fanout,
+            circuit_rules.check_shallow_reconvergence,
+            circuit_rules.check_constant_cones,
+        ),
+        "technology": (
+            tech_rules.check_vth_ordering,
+            tech_rules.check_leakage_ordering,
+            tech_rules.check_leakage_size_monotone,
+            tech_rules.check_delay_load_monotone,
+            tech_rules.check_delay_vth_ordering,
+            tech_rules.check_tech_bounds,
+            tech_rules.check_fo4_band,
+        ),
+        "config": (
+            config_rules.check_yield_band,
+            config_rules.check_confidence_mismatch,
+            config_rules.check_degenerate_chunking,
+            config_rules.check_sigma_first_order,
+            config_rules.check_lbias_grid,
+            config_rules.check_anneal_schedule,
+            config_rules.check_infeasible_target,
+        ),
+        "codebase": (codebase.scan_codebase,),
+        "units": (units_rules.scan_units,),
+        "rng": (rng_rules.scan_rng,),
+        "artifacts": (
+            artifact_rules.scan_artifact_writes,
+            artifact_rules.scan_wall_clock_reads,
+            service_rules.scan_global_session_access,
+        ),
+        "concurrency": (concurrency_rules.scan_concurrency,),
+        "perf": (perf_rules.scan_perf,),
+    },
+)
 
 
 @dataclass(frozen=True)
@@ -100,8 +194,7 @@ def select_passes(
 
     Asking for a pass whose subject is missing from the context raises
     :class:`LintError` (a silent skip would read as a clean bill of
-    health the engine never issued).  Shared by the serial engine and
-    the sharded runner so both agree on the report's ``passes`` tuple.
+    health the engine never issued).
     """
     available = ctx.available_passes()
     if passes is None:
@@ -120,7 +213,7 @@ def select_passes(
 class LintEngine:
     """Runs registry passes over a context."""
 
-    def __init__(self, registry: RuleRegistry = REGISTRY) -> None:
+    def __init__(self, registry: RuleRegistry) -> None:
         self.registry = registry
 
     def run(
@@ -147,10 +240,10 @@ class LintEngine:
 
 
 def _finding_order(finding: Finding) -> Tuple[int, float, str, str, str, bool]:
-    # A *total* order: the sharded runner merges per-shard reports by
-    # re-sorting, so ties must break on content, never on arrival order.
+    # A *total* order: ties break on content, never on the order the
+    # checks emitted them, so a report does not depend on check order.
     # Profiled weight ranks within a severity (heavier first); unprofiled
-    # findings all carry 0.0, which preserves the historical ordering.
+    # findings all carry 0.0 and sort by code, location, then message.
     return (
         -finding.severity.rank,
         -finding.weight,
@@ -164,5 +257,5 @@ def _finding_order(finding: Finding) -> Tuple[int, float, str, str, str, bool]:
 def run_lint(
     ctx: LintContext, passes: Optional[Iterable[str]] = None
 ) -> LintReport:
-    """Convenience wrapper: run the default engine over a context."""
-    return LintEngine().run(ctx, passes=tuple(passes) if passes is not None else None)
+    """Convenience wrapper: run the default registry over a context."""
+    return LintEngine(REGISTRY).run(ctx, passes=tuple(passes) if passes is not None else None)

@@ -44,9 +44,9 @@ from .analysis.loopnest import (
 )
 from .analysis.modules import ModuleInfo
 from .context import LintContext
-from .core import REGISTRY, Finding, Rule
+from .core import Finding, Rule
 
-RULE_SCALAR_HOT_LOOP = REGISTRY.add_rule(Rule(
+RULE_SCALAR_HOT_LOOP = Rule(
     code="RPR901",
     name="scalar-loop-in-hot-path",
     severity=DiagnosticSeverity.WARNING,
@@ -54,9 +54,9 @@ RULE_SCALAR_HOT_LOOP = REGISTRY.add_rule(Rule(
             "a telemetry-instrumented hot path; the iteration belongs in "
             "one batched NumPy pass over the whole axis.",
     pass_name="perf",
-))
+)
 
-RULE_ALLOC_IN_HOT_LOOP = REGISTRY.add_rule(Rule(
+RULE_ALLOC_IN_HOT_LOOP = Rule(
     code="RPR902",
     name="alloc-in-hot-loop",
     severity=DiagnosticSeverity.WARNING,
@@ -64,9 +64,9 @@ RULE_ALLOC_IN_HOT_LOOP = REGISTRY.add_rule(Rule(
             "hot path; per-iteration allocation dominates small-kernel "
             "cost — hoist the buffer out and fill it in place.",
     pass_name="perf",
-))
+)
 
-RULE_LOOP_INVARIANT_CHAIN = REGISTRY.add_rule(Rule(
+RULE_LOOP_INVARIANT_CHAIN = Rule(
     code="RPR903",
     name="loop-invariant-chain",
     severity=DiagnosticSeverity.INFO,
@@ -74,9 +74,9 @@ RULE_LOOP_INVARIANT_CHAIN = REGISTRY.add_rule(Rule(
             "re-evaluated every iteration of a hot workload-scaling "
             "loop; bind it to a local before the loop.",
     pass_name="perf",
-))
+)
 
-RULE_ELEMENTWISE_INDEX = REGISTRY.add_rule(Rule(
+RULE_ELEMENTWISE_INDEX = Rule(
     code="RPR904",
     name="elementwise-index-in-loop",
     severity=DiagnosticSeverity.WARNING,
@@ -85,9 +85,9 @@ RULE_ELEMENTWISE_INDEX = REGISTRY.add_rule(Rule(
             "each scalar access round-trips through the Python layer — "
             "operate on the whole axis instead.",
     pass_name="perf",
-))
+)
 
-RULE_QUADRATIC_MEMBERSHIP = REGISTRY.add_rule(Rule(
+RULE_QUADRATIC_MEMBERSHIP = Rule(
     code="RPR905",
     name="quadratic-membership",
     severity=DiagnosticSeverity.WARNING,
@@ -95,9 +95,9 @@ RULE_QUADRATIC_MEMBERSHIP = REGISTRY.add_rule(Rule(
             "the scan accidentally quadratic; use a set or dict for "
             "O(1) membership.",
     pass_name="perf",
-))
+)
 
-RULE_UNORDERED_ACCUMULATION = REGISTRY.add_rule(Rule(
+RULE_UNORDERED_ACCUMULATION = Rule(
     code="RPR906",
     name="unordered-set-accumulation",
     severity=DiagnosticSeverity.WARNING,
@@ -106,7 +106,7 @@ RULE_UNORDERED_ACCUMULATION = REGISTRY.add_rule(Rule(
             "iteration order varies across processes, threatening "
             "bitwise determinism — sort the set first.",
     pass_name="perf",
-))
+)
 
 #: One violation: (rule, message, module, line, node).
 Violation = Tuple[Rule, str, ModuleInfo, int, str]
@@ -126,7 +126,6 @@ _NDARRAY_ANNOTATIONS = frozenset({
 })
 
 
-@REGISTRY.check("perf")
 def scan_perf(ctx: LintContext) -> Iterator[Finding]:
     """Run the loop-nest and hot-path analyses."""
     program = ctx.whole_program()

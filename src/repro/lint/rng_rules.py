@@ -39,9 +39,9 @@ from .analysis.callgraph import CallGraph
 from .analysis.modules import ModuleInfo
 from .analysis.symbols import PackageSymbols
 from .context import LintContext
-from .core import REGISTRY, Finding, Rule
+from .core import Finding, Rule
 
-RULE_TAINT_PATH = REGISTRY.add_rule(Rule(
+RULE_TAINT_PATH = Rule(
     code="RPR601",
     name="rng-taint-path",
     severity=DiagnosticSeverity.ERROR,
@@ -49,9 +49,9 @@ RULE_TAINT_PATH = REGISTRY.add_rule(Rule(
             "without passing through an explicit seed/rng parameter — "
             "reported numbers are not reproducible from a seed.",
     pass_name="rng",
-))
+)
 
-RULE_MODULE_LEVEL_RNG = REGISTRY.add_rule(Rule(
+RULE_MODULE_LEVEL_RNG = Rule(
     code="RPR602",
     name="module-level-rng",
     severity=DiagnosticSeverity.ERROR,
@@ -59,9 +59,9 @@ RULE_MODULE_LEVEL_RNG = REGISTRY.add_rule(Rule(
             "use a Generator from np.random.default_rng(seed) threaded "
             "through explicitly.",
     pass_name="rng",
-))
+)
 
-RULE_SET_ORDER = REGISTRY.add_rule(Rule(
+RULE_SET_ORDER = Rule(
     code="RPR603",
     name="set-order-dependence",
     severity=DiagnosticSeverity.WARNING,
@@ -69,16 +69,16 @@ RULE_SET_ORDER = REGISTRY.add_rule(Rule(
             "bakes hash order into the result; wrap in sorted() or keep "
             "it a set.",
     pass_name="rng",
-))
+)
 
-RULE_ID_BASED_KEY = REGISTRY.add_rule(Rule(
+RULE_ID_BASED_KEY = Rule(
     code="RPR604",
     name="id-based-key",
     severity=DiagnosticSeverity.WARNING,
     summary="id()-derived keys change between runs with address layout; "
             "key on a stable identifier instead.",
     pass_name="rng",
-))
+)
 
 #: Module-name suffixes (relative to the package root) that count as
 #: result-producing sinks.
@@ -102,7 +102,6 @@ _LEGACY_NP_RANDOM = {
 Violation = Tuple[Rule, str, int]
 
 
-@REGISTRY.check("rng")
 def scan_rng(ctx: LintContext) -> Iterator[Finding]:
     """Run the determinism analysis over the indexed source tree."""
     program = ctx.whole_program()

@@ -27,9 +27,9 @@ from typing import Iterator, List, Tuple
 from ..errors import DiagnosticSeverity
 from .analysis.modules import ModuleInfo
 from .context import LintContext
-from .core import REGISTRY, Finding, Rule
+from .core import Finding, Rule
 
-RULE_GLOBAL_SESSION_ACCESS = REGISTRY.add_rule(Rule(
+RULE_GLOBAL_SESSION_ACCESS = Rule(
     code="RPR707",
     name="process-global-session-access",
     severity=DiagnosticSeverity.WARNING,
@@ -38,7 +38,7 @@ RULE_GLOBAL_SESSION_ACCESS = REGISTRY.add_rule(Rule(
             "ambient session may belong to another request or job.  Thread "
             "an explicit SessionContext and use its bind() instead.",
     pass_name="artifacts",
-))
+)
 
 #: The process-global session entry points the rule polices.
 GLOBAL_ACCESSORS: Tuple[str, ...] = (
@@ -51,7 +51,6 @@ GLOBAL_ACCESSORS: Tuple[str, ...] = (
 SERVICE_PACKAGE = "service"
 
 
-@REGISTRY.check("artifacts")
 def scan_global_session_access(ctx: LintContext) -> Iterator[Finding]:
     """Flag global session accessor calls inside SessionContext scope."""
     index = ctx.module_index()

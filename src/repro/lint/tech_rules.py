@@ -19,18 +19,18 @@ from ..tech.library import Library
 from ..tech.technology import VthClass
 from ..units import to_nm, to_ps
 from .context import LintContext
-from .core import REGISTRY, Finding, Rule
+from .core import Finding, Rule
 
-RULE_VTH_ORDERING = REGISTRY.add_rule(Rule(
+RULE_VTH_ORDERING = Rule(
     code="RPR201",
     name="vth-ordering",
     severity=DiagnosticSeverity.ERROR,
     summary="The dual-Vth pair must satisfy 0 < vth_low < vth_high < vdd; "
             "anything else inverts or degenerates the leakage/speed trade-off.",
     pass_name="technology",
-))
+)
 
-RULE_LEAKAGE_ORDERING = REGISTRY.add_rule(Rule(
+RULE_LEAKAGE_ORDERING = Rule(
     code="RPR202",
     name="leakage-ordering",
     severity=DiagnosticSeverity.ERROR,
@@ -38,27 +38,27 @@ RULE_LEAKAGE_ORDERING = REGISTRY.add_rule(Rule(
             "above its high-Vth leakage, or Vth reassignment optimizes in "
             "the wrong direction.",
     pass_name="technology",
-))
+)
 
-RULE_LEAKAGE_SIZE_MONOTONE = REGISTRY.add_rule(Rule(
+RULE_LEAKAGE_SIZE_MONOTONE = Rule(
     code="RPR203",
     name="leakage-size-monotone",
     severity=DiagnosticSeverity.ERROR,
     summary="Cell leakage must be non-decreasing in drive size; downsizing "
             "is only a leakage-recovery move if wider devices leak more.",
     pass_name="technology",
-))
+)
 
-RULE_DELAY_LOAD_MONOTONE = REGISTRY.add_rule(Rule(
+RULE_DELAY_LOAD_MONOTONE = Rule(
     code="RPR204",
     name="delay-load-monotone",
     severity=DiagnosticSeverity.ERROR,
     summary="Cell delay must be non-decreasing in load capacitance at the "
             "nominal corner — the RC model invariant STA sorts arrivals by.",
     pass_name="technology",
-))
+)
 
-RULE_DELAY_VTH_ORDERING = REGISTRY.add_rule(Rule(
+RULE_DELAY_VTH_ORDERING = Rule(
     code="RPR205",
     name="delay-vth-ordering",
     severity=DiagnosticSeverity.ERROR,
@@ -66,18 +66,18 @@ RULE_DELAY_VTH_ORDERING = REGISTRY.add_rule(Rule(
             "the low-Vth flavour; a free high-Vth swap means the model lost "
             "the speed cost that makes the optimization non-trivial.",
     pass_name="technology",
-))
+)
 
-RULE_TECH_BOUNDS = REGISTRY.add_rule(Rule(
+RULE_TECH_BOUNDS = Rule(
     code="RPR206",
     name="tech-bounds",
     severity=DiagnosticSeverity.WARNING,
     summary="Technology values outside their physically plausible bands "
             "almost always mean a unit slip (nm passed as meters, C as K).",
     pass_name="technology",
-))
+)
 
-RULE_FO4_BAND = REGISTRY.add_rule(Rule(
+RULE_FO4_BAND = Rule(
     code="RPR207",
     name="fo4-band",
     severity=DiagnosticSeverity.WARNING,
@@ -85,13 +85,12 @@ RULE_FO4_BAND = REGISTRY.add_rule(Rule(
             "~1 ns; outside that band the drive calibration is off by orders "
             "of magnitude.",
     pass_name="technology",
-))
+)
 
 #: Load multiples of the unit input capacitance used by the monotonicity probes.
 _LOAD_STEPS = (0.0, 1.0, 2.0, 4.0, 8.0)
 
 
-@REGISTRY.check("technology")
 def check_vth_ordering(ctx: LintContext) -> Iterator[Finding]:
     """RPR201: the dual-Vth pair orders as 0 < low < high < vdd."""
     tech = _tech(ctx)
@@ -103,7 +102,6 @@ def check_vth_ordering(ctx: LintContext) -> Iterator[Finding]:
         )
 
 
-@REGISTRY.check("technology")
 def check_leakage_ordering(ctx: LintContext) -> Iterator[Finding]:
     """RPR202: positive leakage, strictly higher for the low-Vth flavour."""
     lib = ctx.library
@@ -129,7 +127,6 @@ def check_leakage_ordering(ctx: LintContext) -> Iterator[Finding]:
             )
 
 
-@REGISTRY.check("technology")
 def check_leakage_size_monotone(ctx: LintContext) -> Iterator[Finding]:
     """RPR203: mean leakage non-decreasing along the size grid."""
     lib = ctx.library
@@ -151,7 +148,6 @@ def check_leakage_size_monotone(ctx: LintContext) -> Iterator[Finding]:
                     break
 
 
-@REGISTRY.check("technology")
 def check_delay_load_monotone(ctx: LintContext) -> Iterator[Finding]:
     """RPR204: delay non-decreasing in load at the nominal corner."""
     lib = ctx.library
@@ -172,7 +168,6 @@ def check_delay_load_monotone(ctx: LintContext) -> Iterator[Finding]:
                 )
 
 
-@REGISTRY.check("technology")
 def check_delay_vth_ordering(ctx: LintContext) -> Iterator[Finding]:
     """RPR205: the high-Vth flavour is never faster than the low-Vth one."""
     lib = ctx.library
@@ -191,7 +186,6 @@ def check_delay_vth_ordering(ctx: LintContext) -> Iterator[Finding]:
             )
 
 
-@REGISTRY.check("technology")
 def check_tech_bounds(ctx: LintContext) -> Iterator[Finding]:
     """RPR206: plausibility bands that catch unit slips."""
     tech = _tech(ctx)
@@ -232,7 +226,6 @@ def check_tech_bounds(ctx: LintContext) -> Iterator[Finding]:
         )
 
 
-@REGISTRY.check("technology")
 def check_fo4_band(ctx: LintContext) -> Iterator[Finding]:
     """RPR207: FO4 delay within the calibration band."""
     lib = ctx.library

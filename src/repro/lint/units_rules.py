@@ -41,9 +41,9 @@ from .analysis.unitlattice import (
     unit_from_name,
 )
 from .context import LintContext
-from .core import REGISTRY, Finding, Rule
+from .core import Finding, Rule
 
-RULE_UNIT_MIXING = REGISTRY.add_rule(Rule(
+RULE_UNIT_MIXING = Rule(
     code="RPR501",
     name="unit-mixing",
     severity=DiagnosticSeverity.ERROR,
@@ -51,9 +51,9 @@ RULE_UNIT_MIXING = REGISTRY.add_rule(Rule(
             "units (time[ps] vs time[SI], power vs time) silently corrupts "
             "every leakage/delay number downstream.",
     pass_name="units",
-))
+)
 
-RULE_DOUBLE_CONVERSION = REGISTRY.add_rule(Rule(
+RULE_DOUBLE_CONVERSION = Rule(
     code="RPR502",
     name="double-conversion",
     severity=DiagnosticSeverity.WARNING,
@@ -61,16 +61,16 @@ RULE_DOUBLE_CONVERSION = REGISTRY.add_rule(Rule(
             "quantity (to_ps(to_ps(x)), ps(x_si)) is off by twelve orders "
             "of magnitude, not a no-op.",
     pass_name="units",
-))
+)
 
-RULE_UNIT_NAME_MISMATCH = REGISTRY.add_rule(Rule(
+RULE_UNIT_NAME_MISMATCH = Rule(
     code="RPR503",
     name="unit-name-mismatch",
     severity=DiagnosticSeverity.WARNING,
     summary="A function named *_ps/*_nw/... promises that unit, but its "
             "inferred return unit disagrees — callers trust the name.",
     pass_name="units",
-))
+)
 
 #: Builtins that preserve the unit of their (joined) arguments.
 _UNIT_PRESERVING_CALLS = {"abs", "min", "max", "float", "sum"}
@@ -82,7 +82,6 @@ _MAX_SUMMARY_ROUNDS = 8
 Violation = Tuple[Rule, str, int]
 
 
-@REGISTRY.check("units")
 def scan_units(ctx: LintContext) -> Iterator[Finding]:
     """Run the units-propagation analysis over the indexed source tree."""
     program = ctx.whole_program()

@@ -92,7 +92,9 @@ class TestModuleIndex:
         assert [info.name for info in only] == ["pkg.beta"]
         all_of_dir = index.select([str(pkg)])
         assert len(all_of_dir) == len(index)
-        assert index.select([str(pkg / "nothere.py")]) == ()
+        # an entry that selects nothing is an error, not an empty report
+        with pytest.raises(LintError, match="nothere.py"):
+            index.select([str(pkg / "beta.py"), str(pkg / "nothere.py")])
 
     def test_context_caches_one_index(self, pkg):
         ctx = LintContext(source_root=pkg)

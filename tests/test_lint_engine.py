@@ -65,16 +65,16 @@ class TestRule:
 
 class TestRegistry:
     def test_duplicate_code_rejected(self):
-        reg = RuleRegistry()
-        reg.add_rule(_rule())
-        with pytest.raises(LintError):
-            reg.add_rule(_rule(name="other-name"))
+        with pytest.raises(LintError, match="duplicate rule code"):
+            RuleRegistry(rules=(_rule(), _rule(name="other-name")))
 
     def test_duplicate_name_rejected(self):
-        reg = RuleRegistry()
-        reg.add_rule(_rule())
-        with pytest.raises(LintError):
-            reg.add_rule(_rule(code="RPR198"))
+        with pytest.raises(LintError, match="duplicate rule name"):
+            RuleRegistry(rules=(_rule(), _rule(code="RPR198")))
+
+    def test_unknown_pass_rejected(self):
+        with pytest.raises(LintError, match="unknown pass"):
+            RuleRegistry(checks={"nonsense": ()})
 
     def test_unknown_code_lookup(self):
         with pytest.raises(LintError):
@@ -88,6 +88,30 @@ class TestRegistry:
         for pass_name in PASS_NAMES:
             assert REGISTRY.rules(pass_name), pass_name
             assert REGISTRY.checks(pass_name), pass_name
+
+    def test_table_lists_every_declared_rule_and_check(self):
+        # Rule modules register nothing themselves: a Rule or check
+        # function left out of the engine's table would silently never run.
+        import inspect
+
+        from repro.lint import engine
+
+        modules = [
+            obj for name, obj in vars(engine).items()
+            if inspect.ismodule(obj) and name.endswith(("_rules", "codebase"))
+        ]
+        assert len(modules) == 10
+        listed_checks = {
+            fn for name in PASS_NAMES for fn in REGISTRY.checks(name)
+        }
+        for module in modules:
+            for name, obj in vars(module).items():
+                if isinstance(obj, Rule):
+                    assert REGISTRY.rule(obj.code) is obj, name
+                elif (inspect.isfunction(obj)
+                        and obj.__module__ == module.__name__
+                        and name.startswith(("check_", "scan_"))):
+                    assert obj in listed_checks, name
 
     def test_codes_match_pass_numbering(self):
         prefix = {"circuit": "RPR1", "technology": "RPR2",
@@ -135,17 +159,16 @@ class TestEngine:
             run_lint(ctx)
 
     def test_findings_sorted_worst_first(self):
-        reg = RuleRegistry()
-        info = reg.add_rule(_rule(code="RPR191", name="r-info",
-                                  severity=DiagnosticSeverity.INFO))
-        err = reg.add_rule(_rule(code="RPR192", name="r-err",
-                                 severity=DiagnosticSeverity.ERROR))
+        info = _rule(code="RPR191", name="r-info",
+                     severity=DiagnosticSeverity.INFO)
+        err = _rule(code="RPR192", name="r-err",
+                    severity=DiagnosticSeverity.ERROR)
 
-        @reg.check("circuit")
         def emit(ctx):
             yield info.finding("low")
             yield err.finding("high")
 
+        reg = RuleRegistry(rules=(info, err), checks={"circuit": (emit,)})
         report = LintEngine(reg).run(LintContext(circuit=object()))
         assert [f.code for f in report.findings] == ["RPR192", "RPR191"]
 

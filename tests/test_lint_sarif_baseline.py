@@ -327,17 +327,27 @@ class TestCli:
             "lint", "baseline", "verify", "--baseline", str(baseline),
         ]) == 0
 
-    def test_jobs_with_circuit_rejected(self, capsys):
-        assert main(["lint", "c17", "--jobs", "2"]) == 1
-        assert "--jobs" in capsys.readouterr().err
+    @pytest.mark.parametrize("paths, bad", [
+        (["nonexistent.py"], "nonexistent.py"),
+        (["timing/sta.py", "timng"], "timng"),
+    ])
+    def test_paths_selecting_nothing_fail(self, capsys, paths, bad):
+        import repro
+        from pathlib import Path
 
-    def test_jobs_output_matches_serial(self, capsys):
-        assert main(["lint", "--self", "--format", "json",
-                     "--passes", "concurrency"]) == 0
-        serial = capsys.readouterr().out
-        assert main(["lint", "--self", "--format", "json",
-                     "--passes", "concurrency", "--jobs", "3"]) == 0
-        assert capsys.readouterr().out == serial
+        root = Path(repro.__file__).parent
+        args = [str(root / p) for p in paths]
+        assert main(["lint", "--self", "--paths", *args]) == 1
+        err = capsys.readouterr().err
+        assert str(root / bad) in err
+        assert all(a not in err for a in args if not a.endswith(bad))
+
+    def test_paths_outside_the_tree_fail(self, capsys):
+        from pathlib import Path
+
+        tests_dir = str(Path(__file__).parent)
+        assert main(["lint", "--self", "--paths", tests_dir]) == 1
+        assert tests_dir in capsys.readouterr().err
 
     def test_effects_summary(self, capsys):
         assert main(["lint", "--effects", "runner.run_sharded"]) == 0

@@ -130,6 +130,34 @@ class TestWorkerCountInvariance:
             results.append((out.moves_applied, out.final_assignment))
         assert results[0] == results[1]
 
+    def test_in_loop_engine_honours_config_n_jobs(
+        self, c432, varmodel_c432, monkeypatch
+    ):
+        # A non-clark in-loop engine shards over config.n_jobs workers
+        # and, like every sharded path, gives the same yield for any count.
+        import repro.engines.mc as mc_engine
+        from repro.core.statistical import StatisticalStrategy
+
+        seen = []
+        original = mc_engine.run_sharded
+
+        def spy(task, plan, n_jobs=1, **kwargs):
+            seen.append(n_jobs)
+            return original(task, plan, n_jobs=n_jobs, **kwargs)
+
+        monkeypatch.setattr(mc_engine, "run_sharded", spy)
+        view = TimingView(c432)
+        target = 1.05 * run_ssta(view, varmodel_c432).circuit_delay.mean
+        yields = [
+            StatisticalStrategy(
+                view, varmodel_c432, target,
+                OptimizerConfig(timing_engine="mc", n_jobs=n_jobs), probs={},
+            ).evaluate_yield()
+            for n_jobs in (1, 2)
+        ]
+        assert seen == [1, 2]
+        assert yields[0] == yields[1]
+
 
 def naive_propagate(samples, nominal, sens_l, sens_v, fanin_gates, po):
     """The historical per-gate arrival loop, kept as the bitwise oracle.
