@@ -19,17 +19,17 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 from ..circuit.netlist import Circuit
-from ..power.probability import gate_input_probabilities, signal_probabilities
-from ..power.leakage import gate_leakage_currents
+from ..power.leakage import GateLeakageMemo
+from ..power.probability import signal_probabilities
 from ..tech.corners import ProcessCorner, slow_corner
 from ..tech.technology import VthClass
 from ..telemetry import get_telemetry
 from ..timing.graph import TimingConfig, TimingView
 from ..timing.incremental import IncrementalSTA
-from ..timing.sta import STAResult, run_sta
+from ..timing.sta import STAResult, corner_delay_factor, run_sta
 from ..variation.model import VariationModel
 from ..variation.parameters import VariationSpec
 from .config import OptimizerConfig
@@ -55,19 +55,20 @@ class DeterministicStrategy(ConstraintStrategy):
         view: TimingView,
         corner: ProcessCorner,
         target_delay: float,
-        probs: Dict[str, float],
+        leakage: GateLeakageMemo,
         config: OptimizerConfig,
     ) -> None:
         self.view = view
         self.corner = corner
         self.target_delay = target_delay
-        self.probs = probs
+        self.leakage = leakage
         self.config = config
         # Corner delays exceed nominal by a per-Vth-class factor; the local
         # filter compares a *nominal* delay cost against *corner* slack, so
-        # scale costs up by the worst class factor for safety.
-        from ..timing.sta import corner_delay_factor
-
+        # costs are scaled by one factor fixed here: the largest over the
+        # Vth classes present now.  The flow builds the strategy with every
+        # gate LOW-Vth, so that is the LOW factor, which is below HIGH's
+        # (1.27447 vs 1.29238 on ptm100 at the 3-sigma slow corner).
         self._corner_factor = max(corner_delay_factor(view, corner).values())
         self._incremental: IncrementalSTA | None = None
 
@@ -82,9 +83,9 @@ class DeterministicStrategy(ConstraintStrategy):
         )
 
     def is_feasible(self) -> bool:
-        # Event-driven incremental STA: the engine notifies this strategy
-        # of every applied/reverted move, so feasibility costs only the
-        # changed cone rather than a full O(V+E) pass.
+        # The engine notifies this strategy of every applied/reverted
+        # move, which only marks the tracker stale; this check pays one
+        # array pass however many moves came since the last one.
         return self._tracker().circuit_delay() <= self.target_delay * (1.0 + 1e-12)
 
     def on_move_applied(self, move: Move) -> None:
@@ -94,7 +95,7 @@ class DeterministicStrategy(ConstraintStrategy):
         self._tracker().notify(move.index, size_changed=move.kind == "size")
 
     def objective(self) -> float:
-        return float(gate_leakage_currents(self.view.circuit, self.probs).sum())
+        return float(self.leakage.currents().sum())
 
     def move_allowed(self, state: _DetState, move: Move, delay_cost: float) -> bool:
         slack = float(state.sta.slacks[move.index])
@@ -143,12 +144,12 @@ def optimize_deterministic(
             target_delay = config.delay_margin * dmin
 
         probs = signal_probabilities(circuit)
-        gate_probs = gate_input_probabilities(circuit, probs)
         initial = circuit.assignment()
         before = snapshot_metrics(view, varmodel, target_delay, corner, config, probs)
 
-        strategy = DeterministicStrategy(view, corner, target_delay, probs, config)
-        records, applied = run_phased(view, strategy, config, gate_probs)
+        leakage = GateLeakageMemo(circuit, probs)
+        strategy = DeterministicStrategy(view, corner, target_delay, leakage, config)
+        records, applied = run_phased(view, strategy, config, leakage)
 
         after = snapshot_metrics(view, varmodel, target_delay, corner, config, probs)
     return OptimizationResult(

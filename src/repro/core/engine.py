@@ -21,9 +21,10 @@ exact analyses run per *chunk*, not per candidate.
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Set, Tuple
+from typing import List, Set, Tuple
 
 from ..errors import InfeasibleConstraintError
+from ..power.leakage import GateLeakageMemo
 from ..telemetry import get_telemetry
 from ..timing.graph import TimingView
 from .config import OptimizerConfig
@@ -46,7 +47,7 @@ def run_phased(
     view: "TimingView",
     strategy: "ConstraintStrategy",
     config: "OptimizerConfig",
-    gate_probs: Dict[str, tuple],
+    leakage: GateLeakageMemo,
 ) -> Tuple[List["PassRecord"], int]:
     """Run the greedy engine in phases: Vth swaps, then sizing, then Vth.
 
@@ -87,7 +88,7 @@ def run_phased(
     records: List[PassRecord] = []
     total = 0
     for phase_index, phase_config in enumerate(phase_configs):
-        engine = GreedyEngine(view, strategy, phase_config, gate_probs)
+        engine = GreedyEngine(view, strategy, phase_config, leakage)
         with tele.span(
             "opt.phase", flow=strategy.name, index=phase_index
         ) as phase_span:
@@ -144,12 +145,15 @@ class GreedyEngine:
         view: TimingView,
         strategy: ConstraintStrategy,
         config: OptimizerConfig,
-        gate_probs: Dict[str, tuple],
+        leakage: GateLeakageMemo,
     ) -> None:
         self.view = view
         self.strategy = strategy
         self.config = config
-        self.gate_probs = gate_probs
+        self.leakage = leakage
+        #: Exact constraint checks run so far (``opt.validate`` reports
+        #: each validation's share).
+        self._checks = 0
 
     def run(self) -> Tuple[List[PassRecord], int]:
         """Run to convergence; returns (pass records, total moves kept).
@@ -160,12 +164,12 @@ class GreedyEngine:
             If the starting point already violates the constraint — the
             caller's initial sizing should have prevented that.
         """
-        if not self.strategy.is_feasible():
+        tele = get_telemetry()
+        flow = self.strategy.name
+        if not self._is_feasible():
             raise InfeasibleConstraintError(
                 f"{self.strategy.name}: starting point violates the constraint"
             )
-        tele = get_telemetry()
-        flow = self.strategy.name
         records: List[PassRecord] = []
         tabu: Set[Tuple[int, str, object]] = set()
         total_applied = 0
@@ -187,8 +191,12 @@ class GreedyEngine:
                 for _, move in chunk:
                     applied.append((move, apply_move(self.view, move)))
                     self.strategy.on_move_applied(move)
-                with tele.span("opt.validate", flow=flow, chunk=len(applied)):
+                with tele.span(
+                    "opt.validate", flow=flow, chunk=len(applied)
+                ) as validate_span:
+                    checks = self._checks
                     reverted = self._validate_and_rollback(applied, tabu)
+                    validate_span.set(checks=self._checks - checks)
                 kept = len(applied)  # rollback already trimmed the list
                 total_applied += kept
                 tele.counter("opt_moves_applied_total", flow=flow).inc(kept)
@@ -215,6 +223,14 @@ class GreedyEngine:
 
     # -- internals -------------------------------------------------------------
 
+    def _is_feasible(self) -> bool:
+        """The strategy's exact check, counted per flow."""
+        self._checks += 1
+        get_telemetry().counter(
+            "opt_feasibility_checks_total", flow=self.strategy.name
+        ).inc()
+        return self.strategy.is_feasible()
+
     def _collect_candidates(
         self, state: object, tabu: Set[Tuple[int, str, object]]
     ) -> List[Tuple[float, Move]]:
@@ -229,7 +245,7 @@ class GreedyEngine:
         ):
             if move.key() in tabu:
                 continue
-            gain = leakage_gain(self.view, move, self.gate_probs)
+            gain = leakage_gain(self.view, move, self.leakage)
             if gain <= 0.0:
                 continue
             delay_cost = own_delay_cost(self.view, move)
@@ -255,7 +271,7 @@ class GreedyEngine:
         it is reverted and tabu-ed so it is never retried.
         """
         reverted = 0
-        while applied and not self.strategy.is_feasible():
+        while applied and not self._is_feasible():
             k = max(1, len(applied) // 2)
             if len(applied) == 1:
                 move, old = applied.pop()

@@ -21,8 +21,10 @@ constraint re-validation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
+from ..circuit.netlist import Gate
+from ..power.leakage import GateLeakageMemo
 from ..tech.technology import VthClass
 from ..timing.graph import TimingView
 
@@ -46,16 +48,20 @@ class Move:
 OldState = Tuple[float, VthClass, float]
 
 
+def _state_after(gate: Gate, move: Move) -> OldState:
+    """The gate's ``(size, vth, length_bias)`` once ``move`` is applied."""
+    if move.kind == "vth":
+        return gate.size, move.new_vth, gate.length_bias  # type: ignore[return-value]
+    if move.kind == "size":
+        return move.new_size, gate.vth, gate.length_bias  # type: ignore[return-value]
+    return gate.size, gate.vth, move.new_lbias  # type: ignore[return-value]
+
+
 def apply_move(view: TimingView, move: Move) -> OldState:
     """Apply a move; returns the prior ``(size, vth, length_bias)``."""
     gate = view.gates[move.index]
     old = (gate.size, gate.vth, gate.length_bias)
-    if move.kind == "vth":
-        gate.vth = move.new_vth  # type: ignore[assignment]
-    elif move.kind == "size":
-        gate.size = move.new_size  # type: ignore[assignment]
-    else:
-        gate.length_bias = move.new_lbias  # type: ignore[assignment]
+    gate.size, gate.vth, gate.length_bias = _state_after(gate, move)
     return old
 
 
@@ -119,23 +125,12 @@ def fanin_cap_delta(view: TimingView, move: Move) -> float:
     return cell.input_cap(move.new_size) - cell.input_cap(gate.size)  # type: ignore[arg-type]
 
 
-def leakage_gain(
-    view: TimingView,
-    move: Move,
-    gate_probs: Mapping[str, tuple],
-) -> float:
+def leakage_gain(view: TimingView, move: Move, leakage: GateLeakageMemo) -> float:
     """Nominal leakage-current reduction from the move [A] (positive good).
 
-    Exact at the cell level: re-reads the state-weighted leakage table at
-    the move's target (size, vth).
+    Exact at the cell level: the run's memo evaluates the state-weighted
+    leakage table at the gate's current and target (size, vth, bias).
     """
     gate = view.gates[move.index]
-    cell = view.cells[move.index]
-    probs = gate_probs[gate.name]
-    before = cell.leakage(gate.size, gate.vth, probs, delta_l=gate.length_bias)
-    old = apply_move(view, move)
-    try:
-        after = cell.leakage(gate.size, gate.vth, probs, delta_l=gate.length_bias)
-    finally:
-        revert_move(view, move, old)
-    return before - after
+    before = leakage.current(move.index, gate.size, gate.vth, gate.length_bias)
+    return before - leakage.current(move.index, *_state_after(gate, move))

@@ -27,10 +27,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 from ..circuit.netlist import Circuit
-from ..power.probability import gate_input_probabilities, signal_probabilities
+from ..power.leakage import GateLeakageMemo
+from ..power.probability import signal_probabilities
 from ..power.statistical import analyze_statistical_leakage
 from ..tech.corners import slow_corner
 from ..tech.technology import VthClass
@@ -70,13 +71,13 @@ class StatisticalStrategy(ConstraintStrategy):
         varmodel: VariationModel,
         target_delay: float,
         config: OptimizerConfig,
-        probs: Dict[str, float],
+        leakage: GateLeakageMemo,
     ) -> None:
         self.view = view
         self.varmodel = varmodel
         self.target_delay = target_delay
         self.config = config
-        self.probs = probs
+        self.leakage = leakage
 
     def analyze(self) -> _StatState:
         # The yield constraint P(D <= Tmax) >= eta binds, in the mean
@@ -144,8 +145,8 @@ class StatisticalStrategy(ConstraintStrategy):
         stat = analyze_statistical_leakage(
             self.view.circuit,
             self.varmodel,
-            probs=self.probs,
             derate_rdf_with_size=self.config.derate_rdf_with_size,
+            leakage=self.leakage,
         )
         return stat.high_confidence_power(self.config.confidence_k)
 
@@ -201,12 +202,12 @@ def optimize_statistical(
             target_delay = config.delay_margin * dmin
 
         probs = signal_probabilities(circuit)
-        gate_probs = gate_input_probabilities(circuit, probs)
         initial = circuit.assignment()
         before = snapshot_metrics(view, varmodel, target_delay, corner, config, probs)
 
-        strategy = StatisticalStrategy(view, varmodel, target_delay, config, probs)
-        records, applied = run_phased(view, strategy, config, gate_probs)
+        leakage = GateLeakageMemo(circuit, probs)
+        strategy = StatisticalStrategy(view, varmodel, target_delay, config, leakage)
+        records, applied = run_phased(view, strategy, config, leakage)
 
         after = snapshot_metrics(view, varmodel, target_delay, corner, config, probs)
     return OptimizationResult(

@@ -25,8 +25,7 @@ from ..circuit.netlist import Circuit
 from ..errors import PowerError
 from ..variation.lognormal import LognormalSummary, sum_of_lognormals
 from ..variation.model import VariationModel
-from .leakage import gate_leakage_currents
-from .probability import signal_probabilities
+from .leakage import GateLeakageMemo, gate_leakage_currents
 
 #: k for the default high-confidence point: mean + 1.645 sigma (~95th pct
 #: for a near-Gaussian; the matched-lognormal percentile is also exposed).
@@ -84,12 +83,15 @@ def gate_log_leakage_terms(
     varmodel: VariationModel,
     probs: Optional[Mapping[str, float]] = None,
     relative_area: np.ndarray | float | None = None,
+    leakage: Optional[GateLeakageMemo] = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The lognormal-sum ingredients for the current implementation state.
 
     Returns ``(log_means, global_loadings, indep_sigmas)`` aligned with the
     dense gate order, ready for
-    :func:`repro.variation.lognormal.sum_of_lognormals`.
+    :func:`repro.variation.lognormal.sum_of_lognormals`.  An optimization
+    run passes its ``leakage`` memo (built for ``circuit``), which then
+    supplies the nominal currents in place of ``probs``.
     """
     circuit.freeze()
     if varmodel.n_gates != circuit.n_gates:
@@ -97,7 +99,12 @@ def gate_log_leakage_terms(
             f"variation model covers {varmodel.n_gates} gates, "
             f"circuit has {circuit.n_gates}"
         )
-    nominal = gate_leakage_currents(circuit, probs)
+    if leakage is None:
+        nominal = gate_leakage_currents(circuit, probs)
+    elif leakage.circuit is circuit:
+        nominal = leakage.currents()
+    else:
+        raise PowerError("leakage memo was built for another circuit")
     if np.any(nominal <= 0):
         raise PowerError("non-positive nominal gate leakage")
     s_l, s_v = circuit.library.log_leakage_sensitivities
@@ -114,19 +121,19 @@ def analyze_statistical_leakage(
     varmodel: VariationModel,
     probs: Optional[Mapping[str, float]] = None,
     derate_rdf_with_size: bool = True,
+    leakage: Optional[GateLeakageMemo] = None,
 ) -> StatisticalLeakage:
     """Full-chip statistical leakage at the current implementation state.
 
     ``derate_rdf_with_size`` mirrors the timing-side configuration: wider
-    gates see less RDF noise (sigma ~ 1/sqrt(size)).
+    gates see less RDF noise (sigma ~ 1/sqrt(size)).  ``leakage`` is an
+    optimization run's memo, as in :func:`gate_log_leakage_terms`.
     """
-    if probs is None:
-        probs = signal_probabilities(circuit)
     rel_area: np.ndarray | float | None = None
     if not derate_rdf_with_size:
         rel_area = 1.0
     log_means, loadings, indep = gate_log_leakage_terms(
-        circuit, varmodel, probs, relative_area=rel_area
+        circuit, varmodel, probs, relative_area=rel_area, leakage=leakage
     )
     summary = sum_of_lognormals(log_means, loadings, indep)
     return StatisticalLeakage(

@@ -304,7 +304,10 @@ class TimingView:
         One vectorized ``intrinsic + slope * load`` over the whole view,
         bitwise equal to :meth:`nominal_delay_of` gate by gate.
         """
-        coeffs = self._coefficients()
+        return self._nominal_delays(self._coefficients())
+
+    def _nominal_delays(self, coeffs: np.ndarray) -> np.ndarray:
+        """:meth:`nominal_delays` from rows :meth:`_coefficients` returned."""
         return coeffs[:, 0] + coeffs[:, 1] * self._load_caps(coeffs[:, 2])
 
     def primary_output_indices(self) -> np.ndarray:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional
 
 import numpy as np
@@ -40,10 +41,15 @@ class STAResult:
     target_delay: float
     critical_path: tuple[str, ...]
 
-    @property
+    @cached_property
     def slacks(self) -> np.ndarray:
-        """Per-gate slack (required - arrival)."""
-        return self.required - self.arrivals
+        """Per-gate slack (required - arrival), computed once per result.
+
+        Read-only: the optimizers read it per scored candidate.
+        """
+        slacks = self.required - self.arrivals
+        slacks.flags.writeable = False
+        return slacks
 
     @property
     def worst_slack(self) -> float:
@@ -76,11 +82,18 @@ def corner_delay_factor(view: TimingView, corner: ProcessCorner) -> dict:
 
 
 def gate_delays(view: TimingView, corner: Optional[ProcessCorner] = None) -> np.ndarray:
-    """Every gate's delay at the current state, optionally at a corner [s]."""
-    delays = view.nominal_delays()
+    """Every gate's delay at the current state, optionally at a corner [s].
+
+    The corner factor is built elementwise from the view's cached
+    ``dlnR/dL`` and ``dlnR/dVth0`` columns with the expression
+    :func:`corner_delay_factor` evaluates per Vth class, so the two agree
+    bitwise.
+    """
+    coeffs = view._coefficients()
+    delays = view._nominal_delays(coeffs)
     if corner is not None:
-        factors = corner_delay_factor(view, corner)
-        delays = delays * np.array([factors[v] for v in view.vths()])
+        shift = coeffs[:, 3] * corner.delta_l + coeffs[:, 4] * corner.delta_vth0
+        delays = delays * (1.0 + shift + 0.5 * shift * shift)
     return delays
 
 

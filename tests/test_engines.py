@@ -369,6 +369,7 @@ class TestResultSurface:
     def test_statistical_strategy_engine_path(self, c432, varmodel_c432):
         from repro.core import OptimizerConfig
         from repro.core.statistical import StatisticalStrategy
+        from repro.power import GateLeakageMemo
         from repro.timing import TimingView, run_ssta
 
         view = TimingView(c432)
@@ -377,7 +378,8 @@ class TestResultSurface:
         def strategy(engine):
             return StatisticalStrategy(
                 view, varmodel_c432, target,
-                OptimizerConfig(timing_engine=engine), probs={},
+                OptimizerConfig(timing_engine=engine),
+                leakage=GateLeakageMemo(view.circuit),
             )
 
         y_clark = strategy("clark").evaluate_yield()

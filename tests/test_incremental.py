@@ -1,11 +1,21 @@
-"""Incremental STA: exact equivalence with full STA under point changes."""
+"""Incremental STA and the leakage memo: exact equivalence with a full
+recompute under point changes."""
 
 import numpy as np
 import pytest
 
+from repro.core.moves import (
+    Move,
+    apply_move,
+    candidate_moves,
+    leakage_gain,
+    revert_move,
+)
 from repro.errors import TimingError
+from repro.power import GateLeakageMemo, gate_leakage_currents
 from repro.tech import VthClass, slow_corner
 from repro.timing import TimingView, run_sta
+from repro.timing import incremental
 from repro.timing.incremental import IncrementalSTA
 
 
@@ -16,8 +26,9 @@ def view(c432):
 
 def assert_matches_full(inc, view, corner=None):
     full = run_sta(view, corner=corner)
-    assert inc.circuit_delay() == pytest.approx(full.circuit_delay, rel=1e-12)
-    assert np.allclose(inc.arrivals, full.arrivals, rtol=1e-12)
+    assert inc.circuit_delay() == full.circuit_delay
+    assert np.array_equal(inc.arrivals, full.arrivals)
+    assert np.array_equal(inc.delays, full.gate_delays)
 
 
 class TestInitialization:
@@ -56,7 +67,7 @@ class TestPointUpdates:
         inc.notify(5, size_changed=False)
         view.gates[5].vth = VthClass.LOW
         inc.notify(5, size_changed=False)
-        assert inc.circuit_delay() == pytest.approx(before, rel=1e-12)
+        assert inc.circuit_delay() == before
 
     def test_randomized_move_sequence(self, view, spec):
         corner = slow_corner(spec)
@@ -95,7 +106,7 @@ def fanout_cone(view, index):
 
 
 class TestDirtyCone:
-    """The update must touch exactly the dirty cone, and exactly once."""
+    """A move changes exactly the values in its dirty cone."""
 
     def test_vth_swap_leaves_off_cone_arrivals_untouched(self, view):
         inc = IncrementalSTA(view)
@@ -140,9 +151,8 @@ class TestDirtyCone:
         assert np.array_equal(inc.delays, delays)
 
     def test_point_update_bitwise_matches_full_recompute(self, view):
-        # Not approx: the incremental pass evaluates the same scalar
-        # recurrence in the same (topological) order as refresh(), so a
-        # point update must land on bit-identical arrivals.
+        # Not approx: a query after a move runs the same array passes as
+        # refresh(), so it must land on bit-identical arrivals.
         inc = IncrementalSTA(view)
         view.gates[40].vth = VthClass.HIGH
         inc.notify(40, size_changed=False)
@@ -174,6 +184,74 @@ class TestDirtyCone:
         assert inc.circuit_delay() == full.circuit_delay()
 
 
+class TestLazyUpdates:
+    """Moves only mark the tracker stale; a query pays one full pass."""
+
+    def test_notify_defers_work_to_the_next_query(self, view, monkeypatch):
+        inc = IncrementalSTA(view)
+        passes = []
+        original = incremental.gate_delays
+
+        def counted(*args):
+            passes.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(incremental, "gate_delays", counted)
+        for index in range(50):
+            view.gates[index].vth = VthClass.HIGH
+            inc.notify(index, size_changed=False)
+        assert passes == []
+        inc.circuit_delay()
+        inc.arrivals
+        inc.delays
+        assert passes == [1]
+        assert_matches_full(inc, view)
+
+    def test_query_without_moves_reruns_nothing(self, view, monkeypatch):
+        inc = IncrementalSTA(view)
+        monkeypatch.setattr(incremental, "gate_delays", None)
+        assert_matches_full(inc, view)
+
+
+class TestLeakageMemo:
+    def test_randomized_moves_and_reverts_stay_bitwise(self, c432):
+        view = TimingView(c432)
+        memo = GateLeakageMemo(c432)
+        rng = np.random.default_rng(31)
+        sizes = view.library.sizes
+        start = c432.assignment()
+        probe = list(candidate_moves(view, True, True, True))
+        gains = [leakage_gain(view, m, memo) for m in probe]
+        assert np.array_equal(memo.currents(), gate_leakage_currents(c432))
+        for _ in range(60):
+            index = int(rng.integers(view.n_gates))
+            gate = view.gates[index]
+            roll = rng.random()
+            if roll < 0.4:
+                move = Move(index, "vth", new_vth=gate.vth.other())
+            elif roll < 0.7:
+                bias = float(rng.choice([0.0, 2e-9, 6e-9]))
+                move = Move(index, "lbias", new_lbias=bias)
+            else:
+                size = float(sizes[rng.integers(len(sizes))])
+                move = Move(index, "size", new_size=size)
+            old = apply_move(view, move)
+            assert np.array_equal(memo.currents(), gate_leakage_currents(c432))
+            if rng.random() < 0.5:
+                revert_move(view, move, old)
+                assert np.array_equal(memo.currents(), gate_leakage_currents(c432))
+        c432.apply_assignment(start)
+        assert np.array_equal(memo.currents(), gate_leakage_currents(c432))
+        assert [leakage_gain(view, m, memo) for m in probe] == gains
+        fresh = GateLeakageMemo(c432)
+        assert [leakage_gain(view, m, fresh) for m in probe] == gains
+
+    def test_currents_are_a_copy(self, c432):
+        memo = GateLeakageMemo(c432)
+        memo.currents()[:] = 0.0
+        assert np.array_equal(memo.currents(), gate_leakage_currents(c432))
+
+
 class TestEngineIntegration:
     def test_deterministic_flow_unaffected(self, spec):
         # The incremental tracker must not change the deterministic flow's
@@ -188,7 +266,7 @@ class TestEngineIntegration:
         )
         corner = slow_corner(setup.spec, 3.0)
         full = run_sta(setup.circuit, corner=corner)
-        assert full.circuit_delay <= det.target_delay * (1 + 1e-9)
+        assert full.circuit_delay <= det.target_delay * (1.0 + 1e-12)
 
 
 class TestLengthBiasUpdates:

@@ -6,7 +6,7 @@ from repro.analysis import prepare
 from repro.core import OptimizerConfig, optimize_statistical
 from repro.core.moves import Move, apply_move, candidate_moves, leakage_gain, own_delay_cost, revert_move
 from repro.errors import OptimizationError
-from repro.power import analyze_leakage, gate_input_probabilities, signal_probabilities
+from repro.power import GateLeakageMemo, analyze_leakage
 from repro.timing import TimingView, run_sta
 
 
@@ -70,10 +70,9 @@ class TestMoves:
 
     def test_cost_positive_gain_positive(self, c17):
         view = TimingView(c17)
-        probs = gate_input_probabilities(c17, signal_probabilities(c17))
         move = Move(index=0, kind="lbias", new_lbias=4e-9)
         assert own_delay_cost(view, move) > 0
-        assert leakage_gain(view, move, probs) > 0
+        assert leakage_gain(view, move, GateLeakageMemo(c17)) > 0
 
 
 class TestOptimizer:

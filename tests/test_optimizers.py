@@ -64,6 +64,31 @@ class TestDeterministicFlow:
         det = comparison["det"]
         assert det.after.timing_yield > 0.999
 
+    def test_cost_factor_is_fixed_at_the_low_vth_corner_factor(
+        self, lib_module, spec_module
+    ):
+        # The local filter scales nominal delay costs by the largest
+        # corner factor over the Vth classes present at construction.
+        # The flow builds the strategy on an all-LOW design, so that is
+        # the LOW factor, and it stays fixed as gates move to HIGH.
+        from repro.core.deterministic import DeterministicStrategy
+        from repro.power import GateLeakageMemo
+        from repro.timing import TimingView, corner_delay_factor
+
+        circuit = make_benchmark("c432", lib_module)
+        circuit.set_uniform(vth=VthClass.LOW)
+        view = TimingView(circuit)
+        corner = slow_corner(spec_module, OptimizerConfig().corner_sigma)
+        strategy = DeterministicStrategy(
+            view, corner, 1.0, GateLeakageMemo(circuit), OptimizerConfig()
+        )
+        low = corner_delay_factor(view, corner)[VthClass.LOW]
+        circuit.set_uniform(vth=VthClass.HIGH)
+        high = corner_delay_factor(view, corner)[VthClass.HIGH]
+        assert strategy._corner_factor == low
+        assert low == pytest.approx(1.27447, abs=1e-5)
+        assert high == pytest.approx(1.29238, abs=1e-5)
+
     def test_moves_and_passes_recorded(self, comparison):
         det = comparison["det"]
         assert det.moves_applied > 0

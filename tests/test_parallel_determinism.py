@@ -137,6 +137,7 @@ class TestWorkerCountInvariance:
         # and, like every sharded path, gives the same yield for any count.
         import repro.engines.mc as mc_engine
         from repro.core.statistical import StatisticalStrategy
+        from repro.power import GateLeakageMemo
 
         seen = []
         original = mc_engine.run_sharded
@@ -151,7 +152,8 @@ class TestWorkerCountInvariance:
         yields = [
             StatisticalStrategy(
                 view, varmodel_c432, target,
-                OptimizerConfig(timing_engine="mc", n_jobs=n_jobs), probs={},
+                OptimizerConfig(timing_engine="mc", n_jobs=n_jobs),
+                leakage=GateLeakageMemo(view.circuit),
             ).evaluate_yield()
             for n_jobs in (1, 2)
         ]

@@ -417,3 +417,37 @@ class TestTraceFile:
         assert rows[0][1] == 1  # count
         scalars = summarize_scalars(final_snapshot(records))
         assert ("n", {"kind": "x"}, 2.0) in scalars
+
+
+class TestOptimizerFeasibilityChecks:
+    @pytest.mark.parametrize("flow", ["deterministic", "statistical"])
+    def test_every_exact_check_is_counted(self, flow, monkeypatch):
+        from repro.analysis import prepare
+        from repro.core import optimize_deterministic, optimize_statistical
+        from repro.core.deterministic import DeterministicStrategy
+        from repro.core.statistical import StatisticalStrategy
+
+        strategy, optimize = {
+            "deterministic": (DeterministicStrategy, optimize_deterministic),
+            "statistical": (StatisticalStrategy, optimize_statistical),
+        }[flow]
+        calls = []
+        original = strategy.is_feasible
+
+        def spy(self):
+            calls.append(1)
+            return original(self)
+
+        monkeypatch.setattr(strategy, "is_feasible", spy)
+        setup = prepare("c432")
+        with telemetry_session() as tele:
+            optimize(setup.circuit, setup.spec, setup.varmodel)
+            snap = tele.snapshot()
+        validations = tele.finished_spans("opt.validate")
+        phases = tele.finished_spans("opt.phase")
+        assert calls and validations
+        assert snap.value("opt_feasibility_checks_total", flow=flow) == len(calls)
+        # One starting-point check per engine run, the rest in validations.
+        checks = [span.attrs["checks"] for span in validations]
+        assert min(checks) >= 1
+        assert sum(checks) + len(phases) == len(calls)

@@ -4,7 +4,11 @@ The ``reference_*`` functions below are the per-gate topological loops
 STA and SSTA used to run, kept verbatim as oracles: nominal delays
 through ``load_cap_of`` one gate at a time, STA with a per-gate max/min,
 and SSTA as a per-gate left fold of :class:`Canonical` Clark merges with
-the scalar criticality back-propagation.
+the scalar criticality back-propagation.  The deterministic flow's two
+per-move paths are kept the same way: :class:`ReferenceIncrementalSTA`
+is the event-driven tracker that walked the changed cone on every
+``notify``, and :class:`ReferenceGateLeakage` reads every gate's leakage
+straight from ``Cell.leakage`` with no memo.
 
 Equivalence contract checked here, over c17, c432, c880 and generated
 DAGs under randomized size / Vth / length-bias states:
@@ -16,11 +20,14 @@ DAGs under randomized size / Vth / length-bias states:
 * SSTA circuit and arrival mean/sigma agree to 1e-12 relative (vector
   ``erf``/``hypot``/dot products differ from the scalar ones by ulps);
 * criticality agrees to 1e-9 absolute (the ``(m_a - m_b)/theta``
-  cancellation amplifies that ulp drift).
+  cancellation amplifies that ulp drift);
+* the lazy incremental tracker, the gate-leakage memo and both
+  optimizer flows are bitwise equal to their references.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 
 import numpy as np
@@ -28,9 +35,10 @@ import pytest
 
 from repro.circuit import Circuit, build_variation_model, make_benchmark
 from repro.circuit.generators import random_logic
-from repro.core import optimize_statistical
+from repro.core import optimize_deterministic, optimize_statistical
 from repro.core.sizing import upsize_effect
 from repro.errors import TimingError
+from repro.power import gate_leakage_currents, signal_probabilities
 from repro.tech import VthClass, fast_corner, slow_corner
 from repro.timing import (
     Canonical,
@@ -150,6 +158,101 @@ def reference_ssta(view, varmodel):
         for k in range(fanins.size):
             criticality[int(fanins[k])] += c * merge_shares[i][k]
     return arrivals, sink, criticality
+
+
+class ReferenceIncrementalSTA:
+    """The event-driven tracker: a heap walk of the changed cone per move."""
+
+    def __init__(self, view, corner=None):
+        self.view = view
+        self._corner = corner
+        self.delays = np.empty(view.n_gates)
+        self.arrivals = np.empty(view.n_gates)
+        self._po = view.primary_output_indices()
+        self.refresh()
+
+    def circuit_delay(self):
+        return float(self.arrivals[self._po].max())
+
+    def refresh(self):
+        delays, arrivals, _, _ = reference_sta(self.view, self._corner)
+        self.delays[:] = delays
+        self.arrivals[:] = arrivals
+
+    def notify(self, index, size_changed):
+        if not 0 <= index < self.view.n_gates:
+            raise TimingError(f"gate index {index} out of range")
+        dirty = [index]
+        if size_changed:
+            dirty.extend(int(f) for f in self.view.fanin_gates[index])
+        heap = []
+        queued = set()
+        for i in dirty:
+            self.delays[i] = self._gate_delay(i)
+            if i not in queued:
+                heapq.heappush(heap, i)
+                queued.add(i)
+        while heap:
+            i = heapq.heappop(heap)
+            queued.discard(i)
+            fanins = self.view.fanin_gates[i]
+            worst = float(self.arrivals[fanins].max()) if fanins.size else 0.0
+            new_arrival = worst + self.delays[i]
+            if new_arrival == self.arrivals[i]:
+                continue
+            self.arrivals[i] = new_arrival
+            for consumer in self.view.consumer_pins[i]:
+                c = int(consumer)
+                if c not in queued:
+                    heapq.heappush(heap, c)
+                    queued.add(c)
+
+    def _gate_delay(self, index):
+        delay = self.view.nominal_delay_of(index)
+        if self._corner is not None:
+            model = self.view.library.drive_model(self.view.gates[index].vth)
+            shift = (
+                model.d_lnr_d_deltal * self._corner.delta_l
+                + model.d_lnr_d_deltavth * self._corner.delta_vth0
+            )
+            delay *= 1.0 + shift + 0.5 * shift * shift
+        return delay
+
+
+def reference_gate_leakage_currents(circuit, probs=None, corner=None):
+    """The per-gate ``Cell.leakage`` loop, one fresh evaluation per gate."""
+    circuit.freeze()
+    if probs is None:
+        probs = signal_probabilities(circuit)
+    delta_l = corner.delta_l if corner is not None else 0.0
+    delta_v = corner.delta_vth0 if corner is not None else 0.0
+    currents = np.empty(circuit.n_gates)
+    for gate in circuit.indexed_gates():
+        cell = circuit.cell_of(gate)
+        input_probs = [probs[f] for f in gate.fanins]
+        currents[circuit.gate_index(gate.name)] = cell.leakage(
+            gate.size, gate.vth, input_probs,
+            delta_l=delta_l + gate.length_bias, delta_vth0=delta_v,
+        )
+    return currents
+
+
+class ReferenceGateLeakage:
+    """:class:`repro.power.GateLeakageMemo`'s interface with no memo."""
+
+    def __init__(self, circuit, probs=None):
+        self.circuit = circuit
+        self.probs = signal_probabilities(circuit) if probs is None else probs
+
+    def currents(self):
+        return reference_gate_leakage_currents(self.circuit, self.probs)
+
+    def current(self, index, size, vth, length_bias):
+        gate = self.circuit.indexed_gates()[index]
+        input_probs = tuple(self.probs[f] for f in gate.fanins)
+        return self.circuit.cell_of(gate).leakage(
+            size, vth, input_probs, delta_l=length_bias
+        )
 
 
 # -- circuits and states -------------------------------------------------------
@@ -502,6 +605,44 @@ class TestIncrementalAgainstFullSTA:
         assert np.array_equal(inc.arrivals, run_sta(view, corner=corner).arrivals)
 
 
+    @pytest.mark.parametrize("corner_kind", ["nominal", "slow"])
+    def test_lazy_tracker_matches_the_event_driven_reference(
+        self, case, spec, corner_kind
+    ):
+        view, _ = case
+        corner = slow_corner(spec) if corner_kind == "slow" else None
+        inc = IncrementalSTA(view, corner)
+        ref = ReferenceIncrementalSTA(view, corner)
+        rng = np.random.default_rng(5)
+        sizes = view.library.sizes
+        for _ in range(40):
+            index = int(rng.integers(view.n_gates))
+            gate = view.gates[index]
+            kind = rng.integers(3)
+            if kind == 0:
+                gate.vth = gate.vth.other()
+            elif kind == 1:
+                gate.size = float(sizes[rng.integers(len(sizes))])
+            else:
+                gate.length_bias = LENGTH_BIASES[rng.integers(len(LENGTH_BIASES))]
+            inc.notify(index, size_changed=kind == 1)
+            ref.notify(index, size_changed=kind == 1)
+            assert np.array_equal(inc.delays, ref.delays)
+            assert np.array_equal(inc.arrivals, ref.arrivals)
+            assert inc.circuit_delay() == ref.circuit_delay()
+
+
+class TestLeakageAgainstReference:
+    @pytest.mark.parametrize("corner_kind", ["nominal", "slow"])
+    def test_gate_leakage_currents_bitwise(self, case, spec, corner_kind):
+        view, _ = case
+        corner = slow_corner(spec) if corner_kind == "slow" else None
+        assert np.array_equal(
+            gate_leakage_currents(view.circuit, corner=corner),
+            reference_gate_leakage_currents(view.circuit, corner=corner),
+        )
+
+
 class _ReferenceSSTAResult:
     """Just the fields the statistical optimizer reads."""
 
@@ -544,3 +685,41 @@ def test_statistical_flow_reaches_the_reference_assignment(
     assert fast.final_assignment == reference.final_assignment
     assert fast.moves_applied == reference.moves_applied
     assert fast.after.hc_leakage == reference.after.hc_leakage
+
+
+@pytest.mark.parametrize("name", ["c432", "c880"])
+def test_deterministic_flow_reaches_the_reference_assignment(
+    name, lib, spec, monkeypatch
+):
+    def optimize():
+        circuit = make_benchmark(name, lib)
+        return optimize_deterministic(
+            circuit, spec, build_variation_model(circuit, spec)
+        )
+
+    fast = optimize()
+    trackers, leakage_reads = [], []
+
+    class Tracker(ReferenceIncrementalSTA):
+        def __init__(self, view, corner=None):
+            trackers.append(view.n_gates)
+            super().__init__(view, corner)
+
+    def reference_currents(circuit, probs=None, corner=None):
+        leakage_reads.append(circuit.n_gates)
+        return reference_gate_leakage_currents(circuit, probs, corner)
+
+    from repro.core import deterministic
+    from repro.power import leakage, statistical
+
+    monkeypatch.setattr(deterministic, "IncrementalSTA", Tracker)
+    monkeypatch.setattr(deterministic, "GateLeakageMemo", ReferenceGateLeakage)
+    monkeypatch.setattr(leakage, "gate_leakage_currents", reference_currents)
+    monkeypatch.setattr(statistical, "gate_leakage_currents", reference_currents)
+    reference = optimize()
+    assert trackers, "the reference tracker was never consulted"
+    assert leakage_reads, "the reference leakage loop was never consulted"
+    assert fast.final_assignment == reference.final_assignment
+    assert fast.moves_applied == reference.moves_applied
+    assert fast.after.hc_leakage == reference.after.hc_leakage
+    assert fast.passes == reference.passes  # per-pass objectives included
