@@ -203,13 +203,15 @@ class GreedyEngine:
                 tele.counter("opt_moves_reverted_total", flow=flow).inc(reverted)
                 pass_span.set(candidates=len(scored), applied=kept,
                               reverted=reverted)
+                with tele.span("opt.objective", flow=flow):
+                    objective = self.strategy.objective()
                 records.append(
                     PassRecord(
                         pass_index=pass_index,
                         candidates=len(scored),
                         applied=kept,
                         reverted=reverted,
-                        objective=self.strategy.objective(),
+                        objective=objective,
                     )
                 )
                 # A stalled pass keeps nothing: the local filter is letting

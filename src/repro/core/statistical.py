@@ -8,11 +8,16 @@ paper:
   every device at its own worst case, the corner is far more pessimistic
   than any realistic yield target — so the statistical flow has much more
   room to trade speed for leakage;
-* **objective**: a high-confidence point (``mean + k sigma``) of the
-  *leakage distribution* (correlated-lognormal sum) instead of nominal
+* **reported objective**: a high-confidence point (``mean + k sigma``) of
+  the *leakage distribution* (correlated-lognormal sum) instead of nominal
   leakage.  Variance matters: each gate's statistical leakage contribution
   is its nominal value inflated by ``exp(sigma_g^2 / 2)`` and its
-  covariance with the rest of the chip through the shared global factors;
+  covariance with the rest of the chip through the shared global factors.
+  The greedy engine does not minimize it directly: like the baseline, it
+  ranks moves by *nominal* leakage gain (:func:`repro.core.moves.leakage_gain`)
+  per expected delay cost, and records ``mean + k sigma`` once per pass
+  (``PassRecord.objective``) and at the end (``after.hc_leakage``).  Only
+  the annealer (:mod:`repro.core.annealing`) optimizes it directly;
 * **move cost model**: the expected circuit-delay impact of slowing a gate
   is its delay increase weighted by its SSTA *criticality* (probability of
   lying on the critical path) — a gate that is almost never critical is
@@ -32,7 +37,7 @@ from typing import Optional
 from ..circuit.netlist import Circuit
 from ..power.leakage import GateLeakageMemo
 from ..power.probability import signal_probabilities
-from ..power.statistical import analyze_statistical_leakage
+from ..power.statistical import gate_log_leakage_terms
 from ..tech.corners import slow_corner
 from ..tech.technology import VthClass
 from ..telemetry import get_telemetry
@@ -40,6 +45,7 @@ from ..timing.graph import TimingConfig, TimingView
 from ..timing.ssta import SSTAResult, run_ssta
 from ..timing.sta import STAResult, run_sta
 from ..timing.yield_est import estimate_timing_yield
+from ..variation.lognormal import LognormalSum
 from ..variation.model import VariationModel
 from ..variation.parameters import VariationSpec
 from .config import OptimizerConfig
@@ -78,6 +84,11 @@ class StatisticalStrategy(ConstraintStrategy):
         self.target_delay = target_delay
         self.config = config
         self.leakage = leakage
+        #: The SSTA of the last ``clark`` yield check, while no move has
+        #: been applied or reverted since: a validation ends on a feasible
+        #: check of exactly the state the next pass analyzes.
+        self._ssta: SSTAResult | None = None
+        self._leakage_sum: LognormalSum | None = None
 
     def analyze(self) -> _StatState:
         # The yield constraint P(D <= Tmax) >= eta binds, in the mean
@@ -86,7 +97,11 @@ class StatisticalStrategy(ConstraintStrategy):
         # *effective* mean budget, not against Tmax itself — otherwise the
         # filter admits moves that the exact SSTA validation must then
         # reject one chunk at a time.
-        ssta = run_ssta(self.view, self.varmodel)
+        ssta = self._ssta
+        if ssta is None:
+            ssta = run_ssta(self.view, self.varmodel)
+        else:
+            get_telemetry().counter("opt_ssta_reused_total", flow=self.name).inc()
         from scipy import stats
 
         z = float(stats.norm.ppf(self.config.yield_target))
@@ -109,7 +124,8 @@ class StatisticalStrategy(ConstraintStrategy):
         approximation, deterministic across re-validations, and spread
         over ``config.n_jobs`` workers.  Otherwise the analytic check
         uses ``config.timing_engine``; ``clark`` calls :func:`run_ssta`
-        directly, without the endpoint summaries an engine result builds.
+        directly, without the endpoint summaries an engine result builds,
+        and keeps the result for :meth:`analyze` until the next move.
         """
         tele = get_telemetry()
         if self.config.yield_mc_samples > 0:
@@ -138,17 +154,31 @@ class StatisticalStrategy(ConstraintStrategy):
                 return result.yield_at(self.target_delay)
         with tele.span("opt.yield_eval", mode="ssta"):
             tele.counter("opt_yield_evals_total", mode="ssta").inc()
-            ssta = run_ssta(self.view, self.varmodel)
-            return ssta.timing_yield(self.target_delay)
+            self._ssta = run_ssta(self.view, self.varmodel)
+            return self._ssta.timing_yield(self.target_delay)
 
     def objective(self) -> float:
-        stat = analyze_statistical_leakage(
+        """``mean + k sigma`` leakage power, as
+        :func:`~repro.power.statistical.analyze_statistical_leakage`
+        reports it, updated for the gates changed since the last pass."""
+        log_means, loadings, indep = gate_log_leakage_terms(
             self.view.circuit,
             self.varmodel,
-            derate_rdf_with_size=self.config.derate_rdf_with_size,
+            relative_area=None if self.config.derate_rdf_with_size else 1.0,
             leakage=self.leakage,
         )
-        return stat.high_confidence_power(self.config.confidence_k)
+        if self._leakage_sum is None:
+            self._leakage_sum = LognormalSum(loadings)
+        summary = self._leakage_sum.update(log_means, indep)
+        return summary.mean_plus_k_sigma(self.config.confidence_k) * (
+            self.view.circuit.library.tech.vdd
+        )
+
+    def on_move_applied(self, move: Move) -> None:
+        self._ssta = None
+
+    def on_move_reverted(self, move: Move) -> None:
+        self._ssta = None
 
     def move_allowed(self, state: _StatState, move: Move, delay_cost: float) -> bool:
         # Mean-slack filter against the effective (sigma-guarded) budget.

@@ -7,9 +7,11 @@ lognormals** — correlated because gates share the inter-die and spatial
 global factors of the :class:`~repro.variation.model.VariationModel`.
 
 :func:`analyze_statistical_leakage` computes the exact first two moments
-of that sum (Wilkinson matching for percentiles) — this is the quantity
-the statistical optimizer minimizes, typically at its ``mu + k sigma``
-high-confidence point.  The headline physics: the *mean* exceeds the
+of that sum (Wilkinson matching for percentiles).  Its ``mean + k sigma``
+high-confidence point is what the optimizers report (``after.hc_leakage``,
+and per pass ``PassRecord.objective``); the greedy flows rank their moves
+by *nominal* leakage gain, and only the annealer minimizes this point
+directly.  The headline physics: the *mean* exceeds the
 nominal by ``exp(sigma_g^2/2)`` per gate, and the 95th percentile far
 exceeds it — deterministic flows literally optimize the wrong number.
 """
@@ -69,7 +71,7 @@ class StatisticalLeakage:
         return self.summary.percentile(q) * self.vdd
 
     def high_confidence_power(self, k: float = DEFAULT_CONFIDENCE_K) -> float:
-        """``mean + k sigma`` leakage power [W] — the optimizer objective."""
+        """``mean + k sigma`` leakage power [W] — the reported objective."""
         return self.summary.mean_plus_k_sigma(k) * self.vdd
 
     @property

@@ -11,7 +11,14 @@ from repro.power import (
     gate_log_leakage_terms,
     run_monte_carlo_leakage,
 )
+from repro.core.moves import Move, apply_move, revert_move
+from repro.power import GateLeakageMemo
 from repro.tech import VthClass
+from repro.timing import TimingView
+from repro.variation.lognormal import LognormalSum, sum_of_lognormals
+
+#: Tracker-vs-full-sum tolerance on the second moment (the mean is bitwise).
+TRACKER_REL = 1e-12
 
 
 class TestStructure:
@@ -120,3 +127,71 @@ class TestMonteCarloLeakage:
         rho = np.corrcoef(timing.circuit_delays, leak.currents)[0, 1]
         # Fast dies leak most: strong negative correlation.
         assert rho < -0.5
+
+
+class TestLognormalSumTracker:
+    """:class:`LognormalSum` against a fresh full sum after every step."""
+
+    @staticmethod
+    def assert_agrees(got, want, k=1.645):
+        assert got.mean == want.mean
+        assert got.std == pytest.approx(want.std, rel=TRACKER_REL, abs=0.0)
+        assert got.mean_plus_k_sigma(k) == pytest.approx(
+            want.mean_plus_k_sigma(k), rel=TRACKER_REL, abs=0.0
+        )
+
+    @pytest.mark.parametrize("derate", [True, False])
+    def test_random_moves_and_reverts(self, c432, varmodel_c432, derate):
+        view = TimingView(c432)
+        memo = GateLeakageMemo(c432)
+        sizes = view.library.sizes
+
+        def terms():
+            return gate_log_leakage_terms(
+                c432, varmodel_c432,
+                relative_area=None if derate else 1.0, leakage=memo,
+            )
+
+        log_means, loadings, indep = terms()
+        tracker = LognormalSum(loadings)
+        self.assert_agrees(
+            tracker.update(log_means, indep),
+            sum_of_lognormals(log_means, loadings, indep),
+        )
+        rng = np.random.default_rng(23)
+        applied = []
+        for _ in range(60):
+            if applied and rng.random() < 0.3:
+                revert_move(view, *applied.pop())
+            else:
+                index = int(rng.integers(view.n_gates))
+                gate = view.gates[index]
+                kind = ("vth", "size", "lbias")[rng.integers(3)]
+                move = Move(
+                    index, kind,
+                    new_vth=gate.vth.other() if kind == "vth" else None,
+                    new_size=(
+                        float(sizes[rng.integers(len(sizes))])
+                        if kind == "size" else None
+                    ),
+                    new_lbias=(
+                        float(rng.choice([0.0, 2e-9, 4e-9]))
+                        if kind == "lbias" else None
+                    ),
+                )
+                applied.append((move, apply_move(view, move)))
+            log_means, loadings, indep = terms()
+            got = tracker.update(log_means, indep)
+            self.assert_agrees(got, sum_of_lognormals(log_means, loadings, indep))
+        self.assert_agrees(LognormalSum(loadings).update(log_means, indep), got)
+
+    def test_an_indep_only_change_is_tracked(self, c432, varmodel_c432):
+        log_means, loadings, indep = gate_log_leakage_terms(c432, varmodel_c432)
+        tracker = LognormalSum(loadings)
+        tracker.update(log_means, indep)
+        indep = indep.copy()
+        indep[::7] *= 1.5
+        self.assert_agrees(
+            tracker.update(log_means, indep),
+            sum_of_lognormals(log_means, loadings, indep),
+        )

@@ -451,3 +451,40 @@ class TestOptimizerFeasibilityChecks:
         checks = [span.attrs["checks"] for span in validations]
         assert min(checks) >= 1
         assert sum(checks) + len(phases) == len(calls)
+
+
+class TestOptimizerPassAccounting:
+    @pytest.mark.parametrize("flow", ["deterministic", "statistical"])
+    def test_one_objective_span_per_pass_record(self, flow):
+        from repro.analysis import prepare
+        from repro.core import optimize_deterministic, optimize_statistical
+
+        optimize = {
+            "deterministic": optimize_deterministic,
+            "statistical": optimize_statistical,
+        }[flow]
+        setup = prepare("c432")
+        with telemetry_session() as tele:
+            result = optimize(setup.circuit, setup.spec, setup.varmodel)
+        spans = tele.finished_spans("opt.objective")
+        assert result.passes
+        assert len(spans) == len(result.passes)
+        assert {span.attrs["flow"] for span in spans} == {flow}
+
+    def test_every_statistical_ssta_run_is_accounted_for(self):
+        from repro.analysis import prepare
+        from repro.core import optimize_statistical
+
+        setup = prepare("c432")
+        with telemetry_session() as tele:
+            optimize_statistical(setup.circuit, setup.spec, setup.varmodel)
+            snap = tele.snapshot()
+        # A pass with no candidates analyzes but records no PassRecord, so
+        # the analyses are counted by span.  Each analysis runs an SSTA
+        # unless it takes the one its pass's last yield check kept; the 2
+        # are the before/after snapshot_metrics runs.
+        analyses = len(tele.finished_spans("opt.analyze"))
+        reused = snap.value("opt_ssta_reused_total", flow="statistical")
+        evals = snap.value("opt_yield_evals_total", mode="ssta")
+        assert reused > 0
+        assert snap.value("ssta_runs_total") == evals + analyses - reused + 2

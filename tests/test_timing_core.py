@@ -22,7 +22,10 @@ DAGs under randomized size / Vth / length-bias states:
 * criticality agrees to 1e-9 absolute (the ``(m_a - m_b)/theta``
   cancellation amplifies that ulp drift);
 * the lazy incremental tracker, the gate-leakage memo and both
-  optimizer flows are bitwise equal to their references.
+  optimizer flows are bitwise equal to their references;
+* the statistical flow makes the same moves as a strategy that runs the
+  full lognormal double sum every pass and a fresh SSTA in every
+  analysis, with pass objectives within 1e-12 relative and fewer SSTAs.
 """
 
 from __future__ import annotations
@@ -685,6 +688,59 @@ def test_statistical_flow_reaches_the_reference_assignment(
     assert fast.final_assignment == reference.final_assignment
     assert fast.moves_applied == reference.moves_applied
     assert fast.after.hc_leakage == reference.after.hc_leakage
+
+
+@pytest.mark.parametrize("name", ["c432", "c880"])
+def test_statistical_flow_matches_the_full_objective_reference(
+    name, lib, spec, monkeypatch
+):
+    # The reference strategy recomputes what the fast one carries from
+    # pass to pass: the full lognormal double sum as each pass's
+    # objective, and a fresh SSTA in every analysis.
+    from repro.core import statistical
+    from repro.power.statistical import analyze_statistical_leakage
+
+    ssta_calls = []
+
+    def counted_run_ssta(*args, **kwargs):
+        ssta_calls.append(1)
+        return run_ssta(*args, **kwargs)
+
+    class ReferenceStrategy(statistical.StatisticalStrategy):
+        def analyze(self):
+            self._ssta = None
+            return super().analyze()
+
+        def objective(self):
+            return analyze_statistical_leakage(
+                self.view.circuit,
+                self.varmodel,
+                derate_rdf_with_size=self.config.derate_rdf_with_size,
+                leakage=self.leakage,
+            ).high_confidence_power(self.config.confidence_k)
+
+    def optimize():
+        circuit = make_benchmark(name, lib)
+        ssta_calls.clear()
+        result = optimize_statistical(
+            circuit, spec, build_variation_model(circuit, spec)
+        )
+        return result, len(ssta_calls)
+
+    monkeypatch.setattr(statistical, "run_ssta", counted_run_ssta)
+    fast, fast_ssta = optimize()
+    monkeypatch.setattr(statistical, "StatisticalStrategy", ReferenceStrategy)
+    reference, reference_ssta = optimize()
+    assert fast.final_assignment == reference.final_assignment
+    assert fast.moves_applied == reference.moves_applied
+    assert fast.after.hc_leakage == reference.after.hc_leakage
+    assert len(fast.passes) == len(reference.passes)
+    for got, want in zip(fast.passes, reference.passes):
+        assert (got.candidates, got.applied, got.reverted) == (
+            want.candidates, want.applied, want.reverted
+        )
+        assert got.objective == pytest.approx(want.objective, rel=1e-12, abs=0.0)
+    assert fast_ssta < reference_ssta
 
 
 @pytest.mark.parametrize("name", ["c432", "c880"])
